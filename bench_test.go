@@ -382,22 +382,6 @@ func BenchmarkShardedContended(b *testing.B) {
 	benchContended(b, NewShardedList(1<<19, 32))
 }
 
-// BenchmarkShardedCombiningContended is the same storm against the
-// flat-combining ingress geometry the "combining" experiment records
-// (K=8 so shard locks actually contend; rings engage when TryLock
-// fails). Compare against BenchmarkShardedCombiningOffContended to
-// isolate what the ring layer buys — on a single hardware thread the
-// two are within noise because TryLock almost never fails.
-func BenchmarkShardedCombiningContended(b *testing.B) {
-	benchContended(b, NewShardedList(1<<19, 8))
-}
-
-func BenchmarkShardedCombiningOffContended(b *testing.B) {
-	e := NewShardedList(1<<19, 8)
-	e.SetCombining(false)
-	benchContended(b, e)
-}
-
 func BenchmarkPIFOBaselineEnqueueDequeue(b *testing.B) {
 	// The PIFO flip-flop model at its maximum feasible size (1K).
 	l := pifo.New(1 << 10)

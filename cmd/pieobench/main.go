@@ -7,9 +7,9 @@
 //	pieobench -experiment all         # everything (default)
 //	pieobench -list                   # list experiment ids
 //	pieobench -experiment hotpath -cpuprofile cpu.pprof
-//	pieobench -experiment combining -json   # also write BENCH_combining.json
+//	pieobench -experiment cffs -json        # also write BENCH_cffs.json
 //	pieobench -experiment hotpath -backend core,cffs,sharded+cffs
-//	pieobench -experiment combining -procs 1,2,4,8 -json
+//	pieobench -experiment hotpath -procs 1,2,4,8 -json
 //
 // The -backend flag selects, by backend-registry name, which backends
 // the datapath-measuring experiments sweep — any registered backend

@@ -47,15 +47,6 @@ type Stats struct {
 	EmptyDequeues uint64 // Dequeue that found no eligible element
 	FlowDequeues  uint64 // successful DequeueFlow
 	RangeDequeues uint64 // successful DequeueRange
-
-	// Combining-ingress amortization counters, zero on backends without
-	// a combining layer (see Combining). RingOps counts operations that
-	// went through a combining ring because their partition's lock was
-	// contended; CombinedOps counts the subset executed inside another
-	// thread's critical section — the lock acquisitions the combining
-	// layer actually saved.
-	RingOps     uint64
-	CombinedOps uint64
 }
 
 // Add accumulates other into s, for aggregating per-shard counters.
@@ -65,8 +56,6 @@ func (s *Stats) Add(other Stats) {
 	s.EmptyDequeues += other.EmptyDequeues
 	s.FlowDequeues += other.FlowDequeues
 	s.RangeDequeues += other.RangeDequeues
-	s.RingOps += other.RingOps
-	s.CombinedOps += other.CombinedOps
 }
 
 // Backend is the ordered-list contract of §3.1 plus the queries the
@@ -171,40 +160,22 @@ type HardwareModeled interface {
 	HardwareStats() core.Stats
 }
 
-// CombiningStats is a snapshot of a combining backend's ingress-ring
-// activity (see Combining).
+// CombiningStats is what the removed flat-combining ingress layer used
+// to report. RingOps is always zero.
+//
+// Deprecated: kept only because the perfbench module still reads
+// RingOps (its shard.ring_frac metric); remove together with that metric.
 type CombiningStats struct {
-	// RingOps counts operations routed through a combining ring (the
-	// partition lock was contended at arrival).
 	RingOps uint64
-	// CombinedOps counts ring operations executed by a thread other than
-	// their publisher — each one is a lock acquisition amortized away.
-	CombinedOps uint64
-	// CombinerDrains counts critical sections that drained at least one
-	// ring record on top of their own work.
-	CombinerDrains uint64
 }
 
-// Combining is implemented by backends with a flat-combining ingress
-// layer: contended mutations publish operation records into per-partition
-// rings and whichever thread holds the partition lock executes them in
-// one critical section. The knob exists so semantics can be compared with
-// the layer on and off; disabling it drains every in-flight record before
-// returning, so no operation is left parked in a ring.
+// Combining names the removed flat-combining capability.
+//
+// Deprecated: kept only because the perfbench module still lists it
+// among the capabilities its wrappers must forward; remove together with
+// that entry.
 type Combining interface {
-	SetCombining(on bool)
-	CombiningEnabled() bool
 	CombiningStats() CombiningStats
-}
-
-// SetCombining toggles the combining ingress layer on backends that have
-// one, reporting whether b supports the knob.
-func SetCombining(b Backend, on bool) bool {
-	c, ok := b.(Combining)
-	if ok {
-		c.SetCombining(on)
-	}
-	return ok
 }
 
 // CheckInvariants validates b's internal structure when it supports

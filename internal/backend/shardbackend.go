@@ -2,7 +2,7 @@
 // concurrent engine (internal/shard) actually drives, factored out of
 // *core.List so ANY ordered-list organization — the paper-exact sublist
 // structure, Eiffel-style cFFS buckets, future designs — can sit under
-// the tournament, the flat-combining rings, the quarantine/salvage state
+// the tournament, the per-shard locking, the quarantine/salvage state
 // machine, and the next-eligible index without touching any of them.
 //
 // The contract differs from Backend in three ways, all forced by what a
@@ -13,7 +13,8 @@
 //     equal-rank elements on different shards still dequeue in true
 //     arrival order. A shard backend must place equal-rank elements by
 //     the STAMPED sequence, not by arrival order at the shard — the
-//     combining rings execute records out of publish order.
+//     engine draws sequences outside the shard lock, so producers can
+//     reach the lock out of sequence order.
 //   - Below-seq dequeues. The tournament peeks every contending shard
 //     and extracts from the winner; DequeueBelowSeq fuses both into one
 //     scan (extract only when the head's rank is strictly below the

@@ -11,10 +11,10 @@ import (
 // TestEnqueueSeqOutOfOrderSameRank is the regression test for the
 // seq-aware sublist selection: same-rank elements arriving with
 // DESCENDING sequence numbers must still land in ascending-seq positions
-// even when the run of equal ranks spans multiple sublists. (The
-// flat-combining drain executes ring records in ticket order, not
-// sequence order, so out-of-order stamped inserts are a live input, not
-// a theoretical one.) Before smallestSeq joined the pointer-array
+// even when the run of equal ranks spans multiple sublists. (The sharded
+// engine draws sequences outside the shard lock, so producers can reach
+// the lock out of sequence order: out-of-order stamped inserts are a live
+// input, not a theoretical one.) Before smallestSeq joined the pointer-array
 // metadata, the rank-only binary search dumped every equal-rank insert
 // at the END of the run regardless of its stamp, violating global FIFO.
 func TestEnqueueSeqOutOfOrderSameRank(t *testing.T) {

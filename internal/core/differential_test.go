@@ -33,15 +33,10 @@ const (
 // test all of them against the flat reference model: the paper-exact
 // sublist list, the sharded engine at K=1 (single shard, pure
 // pass-through) and K=8 (hash partitioning + tournament dequeue, which
-// must still be quiescent-exact), and K=8 with every operation forced
-// through the flat-combining ring path (publish → self-drain), which
-// must be quiescent-exact too — combined execution is the same code
-// under the same lock. The cFFS bucket queue runs at width 1 (one rank
+// must still be quiescent-exact). The cFFS bucket queue runs at width 1 (one rank
 // per bucket, seq-sorted chains), where it promises exactness both
 // standalone and as the sharded engine's shard backend.
 func exactBackends(capacity int) map[string]backend.Backend {
-	fc := shard.New(capacity, 8)
-	fc.SetForceRing(true)
 	cffsSharded, err := shard.NewNamed(capacity, 8, "cffs")
 	if err != nil {
 		panic(err)
@@ -50,7 +45,6 @@ func exactBackends(capacity int) map[string]backend.Backend {
 		"core":         backend.NewCoreList(capacity),
 		"shard-1":      shard.New(capacity, 1),
 		"shard-8":      shard.New(capacity, 8),
-		"shard-8-fc":   fc,
 		"cffs":         backend.NewCFFSList(capacity),
 		"shard-8+cffs": cffsSharded,
 	}

@@ -258,8 +258,9 @@ func (s *sublist) removeEligAt(idx int) {
 // ptr is one Ordered-Sublist-Array entry (§5.2). smallestSeq caches the
 // FIFO sequence of the sublist's head element alongside its rank: the
 // enqueue-side sublist selection must compare full (rank, seq) keys, not
-// ranks alone, because EnqueueSeq callers (the sharded engine's combining
-// rings) may insert equal-rank elements out of sequence order — an
+// ranks alone, because EnqueueSeq callers (the sharded engine, which
+// draws sequences outside the shard lock) may insert equal-rank elements
+// out of sequence order — an
 // arriving element can carry a SMALLER seq than a cached head, and a
 // rank-only "not greater means older" tie-break would then pick a sublist
 // to the right of the element's true position, breaking the global

@@ -101,7 +101,6 @@ var registry = map[string]Runner{
 	"hierscale":        HierScale,
 	"hotpath":          Hotpath,
 	"overload":         Overload,
-	"combining":        Combining,
 	"scaling":          Scaling,
 	"cffs":             CFFS,
 	"qdev":             QuantDeviation,

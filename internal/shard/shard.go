@@ -127,10 +127,8 @@ type shard struct {
 	list backend.ShardBackend
 
 	// eng points back at the owning engine (for the next-eligible index;
-	// see Engine.nextElig); ring is this shard's flat-combining ingress
-	// ring (ring.go, combiner.go).
-	eng  *Engine
-	ring *opRing
+	// see Engine.nextElig).
+	eng *Engine
 
 	// idx is list's timing-wheel eligibility view when the backend
 	// provides one (backend.EligIndexed), nil otherwise; exact caches
@@ -199,9 +197,9 @@ type shard struct {
 	// pruning, routing checks) while the lock-holder mutates the fields
 	// above; the pads keep those remote reads off the lock-holder's
 	// lines.
-	_       cacheLinePad
-	minSend atomic.Uint64 // lower bound; clock.Never when empty
-	_       cacheLinePad
+	_        cacheLinePad
+	minSend  atomic.Uint64 // lower bound; clock.Never when empty
+	_        cacheLinePad
 	downFlag atomic.Bool
 	_        cacheLinePad
 }
@@ -322,8 +320,6 @@ type Engine struct {
 	// written rarely (mode switches, quarantine transitions). They share
 	// a line happily — what matters is keeping them OFF the write-hot
 	// lines below, so a mode check never misses because a counter moved.
-	combineOn  atomic.Bool // gates ring publishes (combiner.go)
-	forceRing  atomic.Bool // pins tests to the ring path
 	eligOff    atomic.Bool // latched DisableEligIndex (survives rebuilds)
 	downShards atomic.Int32
 	probation  atomic.Int32
@@ -359,13 +355,10 @@ type Engine struct {
 	_        cacheLinePad
 
 	// Write-warm counters: bumped on specific outcomes (empty misses,
-	// ring publishes, drains, degraded ops), never read on the hot path.
-	// They share lines with each other, not with anything read-hot.
+	// successful re-ranks), never read on the hot path. They share lines
+	// with each other, not with anything read-hot.
 	emptyDequeues atomic.Uint64 // tournaments that found nothing eligible
 	updateRanks   atomic.Uint64 // successful UpdateRanks (see Stats)
-	cRingOps      atomic.Uint64 // combining counters (CombiningStats)
-	cCombinedOps  atomic.Uint64
-	cDrains       atomic.Uint64
 
 	// Resilience state (see quarantine.go). ops counts degraded-mode
 	// operations and doubles as the default supervision clock when no
@@ -436,7 +429,6 @@ func NewOn(n, k int, factory backend.ShardFactory) *Engine {
 	for i := range e.shards {
 		e.shards[i] = &shard{
 			eng:     e,
-			ring:    newOpRing(),
 			minRank: &e.minRanks[i].v,
 			brk:     supervise.NewBreaker(i, supervise.BreakerConfig{}),
 		}
@@ -445,7 +437,6 @@ func NewOn(n, k int, factory backend.ShardFactory) *Engine {
 		e.shards[i].minSend.Store(uint64(clock.Never))
 	}
 	e.nextElig.Store(uint64(clock.Never))
-	e.combineOn.Store(true)
 	return e
 }
 
@@ -477,11 +468,8 @@ func (e *Engine) degraded() bool {
 
 // tightenNextElig lowers the next-eligible bound to send. It runs at
 // every point an element actually lands in (or re-ranks within) a shard
-// list — never at ring-publish time, because a published-but-undrained
-// record is invisible to the summaries a concurrent raise recomputes
-// from, and a bound tightened for it could be raised right back over it.
-// (A record's producer has not returned yet, so missing it is a legal
-// linearization; the drain tightens before the record is marked done.)
+// list, after the shard's own summary is updated, so a concurrent raise
+// that recomputes from the summaries cannot lift the bound back over it.
 // The version bump lands between the summary store and the CAS so a
 // racing raiseNextElig either sees the bump and aborts or sees the
 // already-updated summary; the CAS retry loop additionally repairs any
@@ -537,10 +525,9 @@ func (e *Engine) Enqueue(ent core.Entry) error {
 	e.opTick()
 	// Reserve a capacity slot first so the full/duplicate error
 	// precedence matches a single list (full wins). Optimistic fetch-add
-	// instead of a CAS loop: a racing overshoot is rolled straight back,
-	// so concurrent Len readers may observe a transient over-count (the
-	// concurrent contract makes Len advisory anyway) but occupancy never
-	// actually exceeds capacity.
+	// instead of a CAS loop: a racing overshoot is rolled straight back
+	// and occupancy never actually exceeds capacity (Len clamps the
+	// transient over-count).
 	if e.size.Add(1) > int64(e.capacity) {
 		e.size.Add(-1)
 		return core.ErrFull
@@ -554,27 +541,10 @@ func (e *Engine) Enqueue(ent core.Entry) error {
 	}
 	// Draw the FIFO sequence outside the shard lock; a failed enqueue
 	// burns it harmlessly (ties compare relative order, not density). The
-	// sequence is stamped into the ring record at publish time, so global
-	// FIFO among equal ranks survives the combiner executing records in an
-	// order different from the one producers drew their sequences in.
+	// list places equal ranks by stamped sequence, not arrival order, so
+	// producers that drew sequences in one order and won shard locks in
+	// another still drain in global FIFO order.
 	seq := e.seq.Add(1)
-	if e.combineOn.Load() && !e.degraded() {
-		sd := e.shards[home]
-		if !sd.downFlag.Load() {
-			if res, _, handled := e.combine(home, sd, opEnq, ent, seq); handled {
-				switch res {
-				case resOK:
-					return nil
-				case resDup:
-					e.size.Add(-1)
-					return core.ErrDuplicate
-				}
-				// resRetry: the home shard quarantined mid-flight (the
-				// reservation is still held); fall through to the
-				// degraded-mode probe loop.
-			}
-		}
-	}
 	k := len(e.shards)
 	for probe := 0; probe < k; probe++ {
 		i := (home + probe) % k
@@ -766,16 +736,6 @@ func (e *Engine) tournament(now clock.Time, lo, hi uint32, ranged bool, budget i
 			// Quarantined between the summary read and the lock.
 			sd.mu.Unlock()
 			continue
-		}
-		if sd.ring.head != sd.ring.tail.Load() {
-			// The consumer already paid for this lock: drain pending
-			// producer records into the same critical section (flat
-			// combining's consumer half).
-			e.drainRingLocked(mi, sd, noTicket)
-			if sd.down {
-				sd.mu.Unlock()
-				continue
-			}
 		}
 		op := OpPeek
 		if budget > 0 {
@@ -989,26 +949,10 @@ func (e *Engine) DequeueRange(now clock.Time, lo, hi uint32) (core.Entry, bool) 
 func (e *Engine) DequeueFlow(id uint32) (core.Entry, bool) {
 	e.opTick()
 	home := e.homeIdx(id)
-	if e.combineOn.Load() && !e.degraded() {
-		// Healthy engine: the element can only live on its home shard (an
-		// off-home resident would have made degraded() true before this
-		// call began, and one placed concurrently linearizes after a
-		// miss), so the point lookup routes through the combining layer.
-		sd := e.shards[home]
-		if !sd.downFlag.Load() {
-			if res, out, handled := e.combine(home, sd, opDqf, core.Entry{ID: id}, 0); handled {
-				switch res {
-				case resOK:
-					e.size.Add(-1)
-					return out, true
-				case resMiss:
-					return core.Entry{}, false
-				}
-				// resRetry: the home shard quarantined mid-flight; re-probe
-				// through the degraded slow path below.
-			}
-		}
-	}
+	// Healthy engine: the element can only live on its home shard (an
+	// off-home resident would have made degraded() true before this call
+	// began, and one placed concurrently linearizes after a miss), so the
+	// lookup stops after the home shard.
 	wide := e.degraded()
 	k := len(e.shards)
 	for probe := 0; probe < k; probe++ {
@@ -1130,24 +1074,7 @@ func (e *Engine) UpdateRank(id uint32, rank uint64, sendTime clock.Time) bool {
 	e.opTick()
 	seq := e.seq.Add(1)
 	home := e.homeIdx(id)
-	if e.combineOn.Load() && !e.degraded() {
-		// Same healthy-engine home-only argument as DequeueFlow.
-		sd := e.shards[home]
-		if !sd.downFlag.Load() {
-			ent := core.Entry{ID: id, Rank: rank, SendTime: sendTime}
-			if res, _, handled := e.combine(home, sd, opUpd, ent, seq); handled {
-				switch res {
-				case resOK:
-					e.updateRanks.Add(1)
-					return true
-				case resMiss:
-					return false
-				}
-				// resRetry: quarantined before execution; the probe loop
-				// below adjudicates against the salvage.
-			}
-		}
-	}
+	// Same healthy-engine home-only argument as DequeueFlow.
 	wide := e.degraded()
 	k := len(e.shards)
 	for probe := 0; probe < k; probe++ {
@@ -1185,8 +1112,11 @@ func (e *Engine) UpdateRank(id uint32, rank uint64, sendTime clock.Time) bool {
 	return false
 }
 
-// Len implements backend.Backend from the global occupancy counter.
-func (e *Engine) Len() int { return int(e.size.Load()) }
+// Len implements backend.Backend from the global occupancy counter. The
+// counter can run transiently past capacity while a racing reservation
+// rolls itself back (see Enqueue); occupancy never does, so neither
+// does Len.
+func (e *Engine) Len() int { return int(min(e.size.Load(), int64(e.capacity))) }
 
 // Contains implements backend.Backend. Salvaged elements count as present
 // — they are queued, just temporarily unreachable — so idempotent
@@ -1402,10 +1332,15 @@ func (e *Engine) Stats() backend.Stats {
 		EmptyDequeues: e.emptyDequeues.Load(),
 		FlowDequeues:  hw.FlowDequeues - ur,
 		RangeDequeues: hw.RangeDequeues,
-		RingOps:       e.cRingOps.Load(),
-		CombinedOps:   e.cCombinedOps.Load(),
 	}
 }
+
+// CombiningStats always reports zero: the engine has no combining layer.
+//
+// Deprecated: kept only because the perfbench module still reads
+// RingOps from it (its shard.ring_frac metric); remove together with
+// that metric.
+func (e *Engine) CombiningStats() backend.CombiningStats { return backend.CombiningStats{} }
 
 // HardwareStats implements backend.HardwareModeled by summing the §5
 // datapath counters across shards — the cost of K physical PIEOs, which
@@ -1473,9 +1408,6 @@ func (e *Engine) CheckInvariants() error {
 	for i, sd := range e.shards {
 		sd.mu.Lock()
 		err := func() error {
-			if err := checkRingLocked(sd.ring, i); err != nil {
-				return err
-			}
 			// Breaker-phase coherence: down ⟺ Open; an up shard is Closed
 			// or serving its half-open probation.
 			switch phase := sd.brk.Phase(); {

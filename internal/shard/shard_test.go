@@ -1,6 +1,7 @@
 package shard_test
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -350,5 +351,175 @@ func must(t *testing.T, err error) {
 	t.Helper()
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// drainOrder empties the engine at an always-eligible now and returns
+// the extraction order.
+func drainOrder(t *testing.T, e *shard.Engine) []core.Entry {
+	t.Helper()
+	var out []core.Entry
+	for {
+		ent, ok := e.Dequeue(clock.Time(1 << 60))
+		if !ok {
+			break
+		}
+		out = append(out, ent)
+	}
+	if e.Len() != 0 {
+		t.Fatalf("engine reports %d entries after full drain", e.Len())
+	}
+	return out
+}
+
+// checkPerProducerFIFO verifies that, within the stream of extracted
+// same-rank elements, every producer's elements appear in the order that
+// producer enqueued them — the property sequence stamping must preserve
+// even when producers win shard locks out of sequence order.
+func checkPerProducerFIFO(t *testing.T, streams [][]core.Entry, producers, perProducer int) {
+	t.Helper()
+	lastIdx := make([]int, producers)
+	for i := range lastIdx {
+		lastIdx[i] = -1
+	}
+	for _, stream := range streams {
+		for _, ent := range stream {
+			p := int(ent.ID-1) / perProducer
+			idx := int(ent.ID-1) % perProducer
+			if idx <= lastIdx[p] {
+				t.Fatalf("producer %d: element %d extracted at or before element %d — FIFO violated",
+					p, idx, lastIdx[p])
+			}
+			lastIdx[p] = idx
+		}
+	}
+}
+
+// TestSameRankFIFOStorm storms concurrent producers against one
+// consumer with every element at the same rank, so the only thing
+// ordering the drain is the global enqueue sequence drawn outside the
+// shard lock. Each producer's elements must come back in that
+// producer's program order; run with -race this also storms the locked
+// ingress path.
+func TestSameRankFIFOStorm(t *testing.T) {
+	const (
+		producers   = 8
+		perProducer = 2000
+		rank        = uint64(42)
+	)
+	for _, backendName := range []string{"core", "cffs"} {
+		t.Run(fmt.Sprintf("backend=%s", backendName), func(t *testing.T) {
+			e, err := shard.NewNamed(producers*perProducer, 8, backendName)
+			if err != nil {
+				t.Fatalf("construct %q engine: %v", backendName, err)
+			}
+			consumed := make([]core.Entry, 0, producers*perProducer)
+			stop := make(chan struct{})
+			consumerDone := make(chan struct{})
+			go func() { // concurrent consumer: FIFO must hold mid-storm too
+				defer close(consumerDone)
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if ent, ok := e.Dequeue(clock.Always); ok {
+						consumed = append(consumed, ent)
+					}
+				}
+			}()
+			var prodWG sync.WaitGroup
+			for p := 0; p < producers; p++ {
+				prodWG.Add(1)
+				go func(p int) {
+					defer prodWG.Done()
+					for i := 0; i < perProducer; i++ {
+						id := uint32(p*perProducer + i + 1)
+						ent := core.Entry{ID: id, Rank: rank, SendTime: clock.Always}
+						if err := e.Enqueue(ent); err != nil {
+							t.Errorf("enqueue %d: %v", id, err)
+							return
+						}
+					}
+				}(p)
+			}
+			prodWG.Wait()
+			close(stop)
+			<-consumerDone
+
+			if err := e.CheckInvariants(); err != nil {
+				t.Fatalf("post-storm invariants: %v", err)
+			}
+			rest := drainOrder(t, e)
+			if got := len(consumed) + len(rest); got != producers*perProducer {
+				t.Fatalf("extracted %d elements, want %d", got, producers*perProducer)
+			}
+			checkPerProducerFIFO(t, [][]core.Entry{consumed, rest}, producers, perProducer)
+			if err := e.CheckInvariants(); err != nil {
+				t.Fatalf("post-drain invariants: %v", err)
+			}
+		})
+	}
+}
+
+// TestNextEligibleWakeup is the eligibility-index regression test: a
+// miss raises the bound, an insert of an eligible element must lower it
+// back (the wake-up), and the future element surfaces exactly when its
+// send time arrives.
+func TestNextEligibleWakeup(t *testing.T) {
+	e := shard.New(64, 8)
+	if err := e.Enqueue(core.Entry{ID: 1, Rank: 5, SendTime: 100}); err != nil {
+		t.Fatalf("enqueue: %v", err)
+	}
+	if _, ok := e.Dequeue(10); ok {
+		t.Fatal("dequeued an ineligible element")
+	}
+	if _, ok := e.Peek(10); ok {
+		t.Fatal("peeked an ineligible element")
+	}
+	// The miss above raised the next-eligible bound to 100. A fresh
+	// eligible insert must tighten it back down or this dequeue would
+	// wrongly take the empty fast path.
+	if err := e.Enqueue(core.Entry{ID: 2, Rank: 7, SendTime: 0}); err != nil {
+		t.Fatalf("enqueue: %v", err)
+	}
+	ent, ok := e.Dequeue(10)
+	if !ok || ent.ID != 2 {
+		t.Fatalf("dequeue after wake-up: ok=%v ent=%+v, want id 2", ok, ent)
+	}
+	if _, ok := e.Dequeue(10); ok {
+		t.Fatal("dequeued the future element early")
+	}
+	ent, ok = e.Dequeue(100)
+	if !ok || ent.ID != 1 {
+		t.Fatalf("dequeue at send time: ok=%v ent=%+v, want id 1", ok, ent)
+	}
+	if s := e.Stats(); s.EmptyDequeues < 2 {
+		t.Fatalf("EmptyDequeues = %d, want >= 2", s.EmptyDequeues)
+	}
+	if err := e.CheckInvariants(); err != nil {
+		t.Fatalf("invariants: %v", err)
+	}
+}
+
+// TestNextEligibleUpdateRankWakeup covers the re-rank path: an update
+// that moves an element's send time earlier must tighten the bound.
+func TestNextEligibleUpdateRankWakeup(t *testing.T) {
+	e := shard.New(64, 8)
+	if err := e.Enqueue(core.Entry{ID: 1, Rank: 5, SendTime: 100}); err != nil {
+		t.Fatalf("enqueue: %v", err)
+	}
+	if _, ok := e.Dequeue(10); ok { // raise the bound to 100
+		t.Fatal("dequeued an ineligible element")
+	}
+	if !e.UpdateRank(1, 5, 0) {
+		t.Fatal("update rank failed")
+	}
+	if ent, ok := e.Dequeue(10); !ok || ent.ID != 1 {
+		t.Fatalf("dequeue after re-rank wake-up: ok=%v ent=%+v", ok, ent)
+	}
+	if err := e.CheckInvariants(); err != nil {
+		t.Fatalf("invariants: %v", err)
 	}
 }

@@ -126,14 +126,6 @@ type (
 	// Batcher is the batch-operation capability: EnqueueBatch/DequeueUpTo
 	// with exact sequential semantics but amortized per-op overhead.
 	Batcher = backend.Batcher
-	// Combining is the flat-combining ingress capability: contended
-	// mutations publish into per-partition rings and the lock holder
-	// executes them in one critical section. The sharded engine
-	// implements it; SetCombining toggles the layer for comparisons.
-	Combining = backend.Combining
-	// CombiningStats snapshots a combining backend's ring activity
-	// (ring publishes, operations executed by another thread's drain).
-	CombiningStats = backend.CombiningStats
 	// ShardedList is the concurrent PIEO engine: flows hash-partitioned
 	// across independently-locked lists, dequeue as a tournament over
 	// per-shard summaries.
@@ -249,7 +241,7 @@ func NewShardedList(n, k int) *ShardedList { return shard.New(n, k) }
 
 // NewShardedListOn creates a sharded engine whose shards run the named
 // registered shard backend ("core", "cffs", ...) — the engine's
-// tournament, combining rings, and quarantine machinery are
+// tournament, per-shard locking, and quarantine machinery are
 // backend-generic, so any shard backend inherits them unchanged.
 func NewShardedListOn(n, k int, backendName string) (*ShardedList, error) {
 	return shard.NewNamed(n, k, backendName)
@@ -280,10 +272,6 @@ func EnqueueBatch(b Backend, es []Entry) (int, error) { return backend.EnqueueBa
 func DequeueUpTo(b Backend, now Time, k int, out []Entry) []Entry {
 	return backend.DequeueUpTo(b, now, k, out)
 }
-
-// SetCombining toggles the flat-combining ingress layer on backends that
-// have one (the sharded engine), reporting whether b supports the knob.
-func SetCombining(b Backend, on bool) bool { return backend.SetCombining(b, on) }
 
 // Scheduler framework types (§3.2).
 type (

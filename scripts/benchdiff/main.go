@@ -57,7 +57,7 @@ func isMetric(c string) bool {
 	// — keying on them would make every cross-run comparison match
 	// nothing. Rows are identified by (experiment, backend, K, procs).
 	switch c {
-	case "ring ops", "combined ops", "combined share", "vs synclist", "gomaxprocs", "ops", "n":
+	case "vs synclist", "gomaxprocs", "ops", "n":
 		return true
 	}
 	return false
