@@ -113,6 +113,16 @@ type RankRanger interface {
 	DequeueRankRange(lo, hi uint64) (core.Entry, bool)
 }
 
+// RangeSeeker is implemented by backends whose ranged dequeue can start
+// at a caller-supplied rank floor instead of at the head of the rank
+// order. The caller guarantees that no queued element with ID in [lo, hi]
+// ranks below floor; the result is then the one DequeueRange returns. A
+// logical-PIEO partitioner that tracks its band's minimum rank passes it
+// as the floor. core.List provides it.
+type RangeSeeker interface {
+	DequeueRangeFrom(now clock.Time, lo, hi uint32, floor uint64) (core.Entry, bool)
+}
+
 // EligIndexed is implemented by backends that keep a timing-wheel
 // eligibility index over send_time (internal/timewheel): an exact O(1)
 // answer to "when does the next currently-ineligible element become

@@ -56,6 +56,9 @@ func (c *CoreList) EvictMax() (core.Entry, bool) {
 
 var _ Evictor = (*CoreList)(nil)
 
+// The embedded list's floor-started ranged dequeue promotes to RangeSeeker.
+var _ RangeSeeker = (*CoreList)(nil)
+
 // The embedded list's native EnqueueBatch/DequeueUpTo promote to the
 // optional batch capability.
 var _ Batcher = (*CoreList)(nil)

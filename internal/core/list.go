@@ -538,24 +538,38 @@ func (l *List) enqueue(elem element) error {
 // firstEligible returns the first active position whose cached smallest
 // send_time passes the time filter at now, or -1. Because sublists
 // partition the global rank order, that position holds the globally
-// smallest-ranked eligible element. The packed summary words skip 32
-// ineligible positions per probe; a word that passes guarantees a hit
-// inside its block (the summary is exact).
+// smallest-ranked eligible element.
 //
 // startPos is a resume hint for batch extraction: callers must guarantee
-// that every position before it is ineligible at now.
+// that every position before it is ineligible at now, so an eligible
+// element the wheel reports is always found at or after it.
 func (l *List) firstEligible(now clock.Time, startPos int) int {
-	// Wheel fast path: the index's O(1) exact minimum send_time decides
-	// "nothing eligible anywhere" without touching a single summary
-	// word — the sparse-eligibility regime where the block scan below
-	// would walk every word and find nothing. (Callers guarantee every
-	// position before startPos is ineligible, so a wheel minimum <= now
-	// is always discoverable at or after startPos.)
-	if l.wheel != nil {
-		if m, ok := l.wheel.MinSendTime(); !ok || m > now {
-			return -1
-		}
+	if !l.anyEligible(now) {
+		return -1
 	}
+	return l.scanEligible(now, startPos)
+}
+
+// anyEligible is the wheel fast path: the index's O(1) exact minimum
+// send_time decides "nothing eligible anywhere" without touching a single
+// summary word — the sparse-eligibility regime where the block scan would
+// walk every word and find nothing. It reports true whenever the wheel is
+// disabled. The ranged scans, which call scanEligible once per visited
+// sublist, consult it once per scan.
+func (l *List) anyEligible(now clock.Time) bool {
+	if l.wheel == nil {
+		return true
+	}
+	m, ok := l.wheel.MinSendTime()
+	return ok && m <= now
+}
+
+// scanEligible is the block-summary scan behind firstEligible: the first
+// active position at or after startPos whose cached smallest send_time
+// passes the time filter at now, or -1. The packed summary words skip 32
+// ineligible positions per probe; a word that passes guarantees a hit
+// inside its block (the summary is exact).
+func (l *List) scanEligible(now clock.Time, startPos int) int {
 	// The scan loops index through registers: active, the block-summary
 	// slice, and the order slice are hoisted into locals so the inner
 	// loops compare against register-resident headers instead of
@@ -709,7 +723,10 @@ func (l *List) DequeueRangeBelowSeq(now clock.Time, lo, hi uint32, limit uint64)
 	// in-range element, deferred until the outcome is known (an
 	// extraction pays them, a peek outcome pays nothing).
 	var missReads, missCompares uint64
-	for pos := l.firstEligible(now, 0); pos != -1; pos = l.firstEligible(now, pos+1) {
+	if !l.anyEligible(now) {
+		return Entry{}, 0, false, false
+	}
+	for pos := l.scanEligible(now, 0); pos != -1; pos = l.scanEligible(now, pos+1) {
 		sl := &l.sublists[l.order[pos].sublistID]
 		for idx := range sl.entries {
 			el := &sl.entries[idx]
@@ -772,26 +789,77 @@ func (l *List) DequeueFlow(id uint32) (Entry, bool) {
 // summary never passed the time filter and cost nothing, exactly as in
 // the hardware's parallel select.
 func (l *List) DequeueRange(now clock.Time, lo, hi uint32) (Entry, bool) {
+	return l.DequeueRangeFrom(now, lo, hi, 0)
+}
+
+// DequeueRangeFrom is DequeueRange with a rank floor: the caller
+// guarantees that no queued element with ID in [lo, hi] ranks below
+// floor (0 promises nothing; a band with no residents may pass
+// math.MaxUint64). The scan then starts at the first sublist that can
+// hold rank >= floor instead of at the head of the pointer array, so a
+// band whose residents all rank behind other bands' skips those bands'
+// sublists. The result is the one DequeueRange returns.
+//
+// Stats are charged exactly as a scan from the head: every skipped
+// position that passes the time filter would have been an in-range miss,
+// costing one read, its sublist's comparators and one cycle. Counting
+// them reads only the pointer array, never a sublist.
+func (l *List) DequeueRangeFrom(now clock.Time, lo, hi uint32, floor uint64) (Entry, bool) {
 	l.stats.PtrCompares += uint64(l.active)
-	for pos := l.firstEligible(now, 0); pos != -1; pos = l.firstEligible(now, pos+1) {
-		sl := &l.sublists[l.order[pos].sublistID]
-		l.stats.SublistReads++
-		l.stats.ElemCompares += uint64(sl.len())
-		for idx := range sl.entries {
-			e := &sl.entries[idx]
-			if e.SendTime <= now && e.ID >= lo && e.ID <= hi {
-				l.stats.RangeDequeues++
-				l.stats.Cycles += 4
-				out := e.Entry
-				l.extractAt(pos, sl, idx)
-				return out, true
+	if l.anyEligible(now) {
+		start := l.rankStart(floor)
+		ord := l.order
+		for pos := 0; pos < start; pos++ {
+			if now >= ord[pos].smallestSendTime {
+				l.stats.SublistReads++
+				l.stats.ElemCompares += uint64(ord[pos].num)
+				l.stats.Cycles++
 			}
 		}
-		l.stats.Cycles++ // in-range miss: scan continues to the next sublist
+		for pos := l.scanEligible(now, start); pos != -1; pos = l.scanEligible(now, pos+1) {
+			sl := &l.sublists[l.order[pos].sublistID]
+			l.stats.SublistReads++
+			l.stats.ElemCompares += uint64(sl.len())
+			for idx := range sl.entries {
+				e := &sl.entries[idx]
+				if e.SendTime <= now && e.ID >= lo && e.ID <= hi {
+					l.stats.RangeDequeues++
+					l.stats.Cycles += 4
+					out := e.Entry
+					l.extractAt(pos, sl, idx)
+					return out, true
+				}
+			}
+			l.stats.Cycles++ // in-range miss: scan continues to the next sublist
+		}
 	}
 	l.stats.EmptyDequeues++
 	l.stats.Cycles++
 	return Entry{}, false
+}
+
+// rankStart returns the first active position whose sublist can hold an
+// element ranked at or above floor. Cached smallest ranks are
+// nondecreasing across the active partition, so every sublist before the
+// last one whose smallest rank is below floor holds only ranks below
+// floor; that last one qualifies only if its tail reaches floor.
+func (l *List) rankStart(floor uint64) int {
+	lo, hi := 0, l.active
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if l.order[mid].smallestRank >= floor {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	if lo > 0 {
+		sl := &l.sublists[l.order[lo-1].sublistID]
+		if sl.entries[sl.len()-1].Rank >= floor {
+			lo--
+		}
+	}
+	return lo
 }
 
 // PeekRange returns the element DequeueRange would extract, without
@@ -804,7 +872,10 @@ func (l *List) PeekRange(now clock.Time, lo, hi uint32) (Entry, bool) {
 // PeekRangeSeq is PeekRange plus the element's FIFO sequence number (see
 // PeekSeq).
 func (l *List) PeekRangeSeq(now clock.Time, lo, hi uint32) (Entry, uint64, bool) {
-	for pos := l.firstEligible(now, 0); pos != -1; pos = l.firstEligible(now, pos+1) {
+	if !l.anyEligible(now) {
+		return Entry{}, 0, false
+	}
+	for pos := l.scanEligible(now, 0); pos != -1; pos = l.scanEligible(now, pos+1) {
 		sl := &l.sublists[l.order[pos].sublistID]
 		for i := range sl.entries {
 			e := &sl.entries[i]

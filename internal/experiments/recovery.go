@@ -62,8 +62,8 @@ func Recovery() *Table {
 // convergence against the breaker's configured horizon.
 func recoveryStormRow(base clock.Time) []string {
 	const (
-		capacity = 4096
-		shards   = 8
+		capacity   = 4096
+		shards     = 8
 		opsPerTick = 4 // driver ops between clock ticks: keeps shards busy
 	)
 	clk := &clock.Atomic{}

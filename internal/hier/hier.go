@@ -33,6 +33,8 @@ type Child struct {
 	Flow flowq.FlowID
 	Node *Node // non-nil for interior children
 
+	parent *Node // the node whose logical PIEO schedules this child
+
 	Queue *flowq.Queue // non-nil for leaf children
 
 	// Scheduling attributes assigned by the parent policy's PreEnqueue.
@@ -114,7 +116,7 @@ func (n *Node) AddNode(name string, policy *Policy) *Node {
 	if policy == nil {
 		panic("hier: node policy must not be nil")
 	}
-	child := &Child{Weight: 1, Quantum: 1500}
+	child := &Child{Weight: 1, Quantum: 1500, parent: n}
 	node := &Node{Name: name, Policy: policy, h: n.h, depth: n.depth + 1, parent: n, self: child}
 	child.Node = node
 	n.children = append(n.children, child)
@@ -128,10 +130,9 @@ func (n *Node) AddFlow(id flowq.FlowID) *Child {
 	if _, dup := n.h.leaves[id]; dup {
 		panic(fmt.Sprintf("hier: flow %d added twice", id))
 	}
-	child := &Child{Flow: id, Queue: &flowq.Queue{}, Weight: 1, Quantum: 1500}
+	child := &Child{Flow: id, Queue: &flowq.Queue{}, Weight: 1, Quantum: 1500, parent: n}
 	n.children = append(n.children, child)
 	n.h.leaves[id] = child
-	n.h.parentOf[id] = n
 	return child
 }
 
@@ -147,15 +148,13 @@ type Hierarchy struct {
 	// degraded behavior: that subtree loses its turn, nothing crashes).
 	Strict bool
 
-	root     *Node
-	levels   []backend.Backend // levels[d] holds the children of depth-d nodes (per-level mode)
-	wall     []bool            // depth-d predicates live in the wall-clock domain
-	factory  func(capacity int) backend.Backend
-	leaves   map[flowq.FlowID]*Child
-	parentOf map[flowq.FlowID]*Node
-	byID     []map[uint32]*Child // per depth: child id -> Child
-	nodesAt  [][]*Node           // interior nodes per depth, BFS order
-	built    bool
+	root    *Node
+	levels  []backend.Backend // levels[d] holds the children of depth-d nodes (per-level mode)
+	wall    []bool            // depth-d predicates live in the wall-clock domain
+	factory func(capacity int) backend.Backend
+	leaves  map[flowq.FlowID]*Child
+	nodesAt [][]*Node // interior nodes per depth, BFS order
+	built   bool
 
 	// Partitioned mode (§4.2): every node's logical PIEO is an ID band
 	// of ONE shared physical backend instead of a slice of a per-level
@@ -194,7 +193,6 @@ func NewOn(linkRateGbps float64, rootPolicy *Policy, factory func(capacity int) 
 		Strict:       true,
 		factory:      factory,
 		leaves:       make(map[flowq.FlowID]*Child),
-		parentOf:     make(map[flowq.FlowID]*Node),
 	}
 	h.root = &Node{Name: "root", Policy: rootPolicy, h: h}
 	return h
@@ -237,7 +235,8 @@ func (h *Hierarchy) mustNotBeBuilt() {
 }
 
 // Build freezes the topology: it assigns contiguous child-index ranges
-// per parent at every depth (the paper's logical partitioning) and
+// per parent at every depth (the paper's logical partitioning; a node's
+// i-th child gets ID n.lo+i, which is how descend names a winner) and
 // allocates the physical structure — one PIEO per level, or (partitioned
 // mode) one shared PIEO whose ID space is carved into per-node bands. It
 // must be called exactly once before traffic.
@@ -255,7 +254,6 @@ func (h *Hierarchy) Build() {
 	for len(level) > 0 {
 		var next []*Node
 		nextID := uint32(0)
-		index := make(map[uint32]*Child)
 		wall := true
 		for _, n := range level {
 			if len(n.children) == 0 {
@@ -264,7 +262,6 @@ func (h *Hierarchy) Build() {
 			n.lo = nextID
 			for _, c := range n.children {
 				c.ID = nextID
-				index[c.ID] = c
 				nextID++
 				if c.Node != nil {
 					next = append(next, c.Node)
@@ -277,7 +274,6 @@ func (h *Hierarchy) Build() {
 		}
 		h.levels = append(h.levels, h.factory(int(nextID)))
 		h.wall = append(h.wall, wall)
-		h.byID = append(h.byID, index)
 		h.nodesAt = append(h.nodesAt, level)
 		level = next
 	}
@@ -308,7 +304,6 @@ func (h *Hierarchy) buildPartitioned() {
 	level := []*Node{h.root}
 	for len(level) > 0 {
 		var next []*Node
-		index := make(map[uint32]*Child)
 		wall := true
 		for _, n := range level {
 			if n.Policy.DequeueTime != nil {
@@ -328,14 +323,12 @@ func (h *Hierarchy) buildPartitioned() {
 					panic(fmt.Sprintf("hier: band of node %q exhausted", n.Name))
 				}
 				c.ID = id
-				index[id] = c
 				if c.Node != nil {
 					next = append(next, c.Node)
 				}
 			}
 		}
 		h.wall = append(h.wall, wall)
-		h.byID = append(h.byID, index)
 		h.nodesAt = append(h.nodesAt, level)
 		level = next
 	}
@@ -460,7 +453,7 @@ func (h *Hierarchy) OnArrival(now clock.Time, p flowq.Packet) {
 	wasEmpty := c.Queue.Empty()
 	c.Queue.Push(p)
 	if wasEmpty {
-		h.enqueueChild(now, h.parentOf[p.Flow], c)
+		h.enqueueChild(now, c.parent, c)
 	}
 }
 
@@ -590,7 +583,10 @@ func (h *Hierarchy) descend(n *Node, now clock.Time, path *[]pathStep) bool {
 			return false
 		}
 		n.active--
-		c := h.byID[n.depth][e.ID]
+		var c *Child
+		if off := e.ID - n.lo; off < uint32(len(n.children)) {
+			c = n.children[off]
+		}
 		if c == nil {
 			if h.Strict {
 				panic(fmt.Sprintf("hier: depth %d returned unknown child %d", n.depth, e.ID))

@@ -6,6 +6,7 @@ import (
 
 	"pieo/internal/backend"
 	"pieo/internal/clock"
+	"pieo/internal/core"
 	"pieo/internal/flowq"
 	"pieo/internal/netsim"
 	"pieo/internal/stats"
@@ -432,5 +433,42 @@ func TestLevelListInvariants(t *testing.T) {
 				t.Fatalf("level %d after packet %d: %v", d, i, err)
 			}
 		}
+	}
+}
+
+// bandBlindList is a faulty level list whose ranged dequeue ignores the
+// band and extracts the globally smallest eligible element.
+type bandBlindList struct{ *backend.CoreList }
+
+func (b bandBlindList) DequeueRange(now clock.Time, _, _ uint32) (core.Entry, bool) {
+	return b.Dequeue(now)
+}
+
+// TestDescendRejectsForeignChild: a winner whose ID lies outside the
+// extracting node's child range is a fault charged to that node, even
+// when the ID names a real child of a sibling node at the same depth.
+func TestDescendRejectsForeignChild(t *testing.T) {
+	h := NewOn(linkGbps, RoundRobin(), func(n int) backend.Backend {
+		return bandBlindList{backend.NewCoreList(n)}
+	})
+	h.Strict = false
+	vm0, vm1 := h.Root().AddNode("vm0", RoundRobin()), h.Root().AddNode("vm1", RoundRobin())
+	vm0.AddFlow(0)
+	foreign := vm1.AddFlow(1)
+	h.Build()
+	// vm1's idle flow appears in the depth-1 list ahead of everything.
+	if err := h.Level(1).Enqueue(core.Entry{ID: foreign.ID, Rank: 0, SendTime: clock.Always}); err != nil {
+		t.Fatal(err)
+	}
+	h.OnArrival(0, flowq.Packet{Flow: 0, Size: 100})
+	p, ok := h.NextPacket(0)
+	if !ok || p.Flow != 0 {
+		t.Fatalf("NextPacket = flow %d ok=%v, want 0", p.Flow, ok)
+	}
+	if got := vm0.FaultStats().UnknownFlows; got != 1 {
+		t.Fatalf("vm0 UnknownFlows = %d, want 1", got)
+	}
+	if got := h.FaultStats().UnknownFlows; got != 1 {
+		t.Fatalf("hierarchy UnknownFlows = %d, want 1", got)
 	}
 }

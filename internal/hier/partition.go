@@ -15,13 +15,20 @@
 // summary: the shared backend's MinSendTime mixes every tenant's time
 // domain, so per-range wake-ups must come from a per-range index.
 //
+// Per partition it also keeps the exact minimum rank of its residents in
+// an indexed min-heap. That minimum is the band's rank floor: no resident
+// ranks below it, so on a backend that can seek (backend.RangeSeeker) the
+// ranged scan starts at the floor's sublist instead of at the head of the
+// shared rank order, skipping every band ranked ahead.
+//
 // Concurrency/memory-ordering contract: the Partitioner's bookkeeping
-// (bands, handle maps, wheels) is NOT synchronized — it assumes a single
-// caller thread, exactly like the hierarchy that owns it. The shared
-// backend may be internally concurrent (the sharded engine takes its own
-// per-shard locks), but the Partitioner never relies on that: all
-// happens-before edges between partition bookkeeping and backend state
-// come from the single caller's program order. See DESIGN.md §13.
+// (bands, resident tables, rank heaps, wheels) is NOT synchronized — it
+// assumes a single caller thread, exactly like the hierarchy that owns
+// it. The shared backend may be internally concurrent (the sharded
+// engine takes its own per-shard locks), but the Partitioner never
+// relies on that: all happens-before edges between partition bookkeeping
+// and backend state come from the single caller's program order. See
+// DESIGN.md §13.
 package hier
 
 import (
@@ -40,11 +47,22 @@ type span struct{ lo, hi uint32 }
 
 func (s span) size() uint64 { return uint64(s.hi) - uint64(s.lo) + 1 }
 
+// resident is one slot of a partition's resident table: the element's
+// rank, its wheel handle (-1 outside wall partitions) and its index in
+// the rank heap plus one. hp == 0 marks a free slot, so the zero-filled
+// slots the table grows into are all free.
+type resident struct {
+	rank uint64
+	wh   int32
+	hp   int32
+}
+
 // Partition is one logical PIEO: a band of the shared backend's ID space
 // plus the bookkeeping that makes it behave like a private list — a
-// resident set (for Contains and conservation) and, for wall-clock
-// partitions, a timing wheel indexing resident send_times so
-// MinSendTime/NextWakeAfter are exact per range.
+// resident table (for Contains and conservation), a rank heap giving the
+// band's rank floor and, for wall-clock partitions, a timing wheel
+// indexing resident send_times so MinSendTime/NextWakeAfter are exact per
+// range.
 type Partition struct {
 	pt   *Partitioner
 	band span
@@ -53,9 +71,15 @@ type Partition struct {
 	// wall marks a partition whose send_times live in the wall-clock
 	// domain; only those maintain the eligibility wheel (virtual-time
 	// partitions have no meaningful wall wake instant).
-	wall    bool
-	wheel   *timewheel.Wheel
-	handles map[uint32]int32 // resident ID -> wheel handle (wall) or -1
+	wall  bool
+	wheel *timewheel.Wheel
+
+	// res is the resident table, indexed by id - band.lo. It grows
+	// lazily to the highest offset admitted, so a wide band costs nothing
+	// until it fills. heap holds the resident offsets as a binary
+	// min-heap on rank; its root is the band's rank floor.
+	res  []resident
+	heap []uint32
 
 	retired bool
 }
@@ -67,7 +91,7 @@ func (p *Partition) Lo() uint32 { return p.band.lo }
 func (p *Partition) Hi() uint32 { return p.band.hi }
 
 // Len returns the number of resident elements.
-func (p *Partition) Len() int { return len(p.handles) }
+func (p *Partition) Len() int { return len(p.heap) }
 
 // Cap returns the band width — the number of IDs the partition can name.
 func (p *Partition) Cap() int { return int(p.band.size()) }
@@ -76,9 +100,27 @@ func (p *Partition) Cap() int { return int(p.band.size()) }
 func (p *Partition) Wall() bool { return p.wall }
 
 // Contains reports whether id is resident in this partition.
-func (p *Partition) Contains(id uint32) bool {
-	_, ok := p.handles[id]
-	return ok
+func (p *Partition) Contains(id uint32) bool { return p.slot(id) != nil }
+
+// slot returns id's resident-table slot, nil when id is not resident.
+func (p *Partition) slot(id uint32) *resident {
+	if !p.InBand(id) {
+		return nil
+	}
+	off := uint64(id - p.band.lo)
+	if off >= uint64(len(p.res)) || p.res[off].hp == 0 {
+		return nil
+	}
+	return &p.res[off]
+}
+
+// minRank returns the band's rank floor: the smallest resident rank, or
+// math.MaxUint64 when the partition is empty.
+func (p *Partition) minRank() uint64 {
+	if len(p.heap) == 0 {
+		return math.MaxUint64
+	}
+	return p.res[p.heap[0]].rank
 }
 
 // InBand reports whether id falls inside the partition's band.
@@ -121,24 +163,91 @@ func (p *Partition) mustLive(op string) {
 }
 
 // track records a resident element in the partition's indexes.
-func (p *Partition) track(id uint32, sendTime clock.Time) {
-	h := int32(-1)
-	if p.wheel != nil {
-		h = p.wheel.Insert(sendTime)
+func (p *Partition) track(id uint32, rank uint64, sendTime clock.Time) {
+	off := id - p.band.lo
+	if n := uint64(off) + 1; n > uint64(len(p.res)) {
+		p.res = append(p.res, make([]resident, n-uint64(len(p.res)))...)
 	}
-	p.handles[id] = h
+	wh := int32(-1)
+	if p.wheel != nil {
+		wh = p.wheel.Insert(sendTime)
+	}
+	p.heap = append(p.heap, off)
+	p.res[off] = resident{rank: rank, wh: wh, hp: int32(len(p.heap))}
+	p.heapUp(len(p.heap) - 1)
 }
 
 // untrack removes a resident element from the partition's indexes.
 func (p *Partition) untrack(id uint32) {
-	h, ok := p.handles[id]
-	if !ok {
+	r := p.slot(id)
+	if r == nil {
 		panic(fmt.Sprintf("hier: partition [%d,%d] untracking non-resident id %d", p.band.lo, p.band.hi, id))
 	}
 	if p.wheel != nil {
-		p.wheel.Remove(h)
+		p.wheel.Remove(r.wh)
 	}
-	delete(p.handles, id)
+	i, last := int(r.hp)-1, len(p.heap)-1
+	r.hp = 0
+	if i != last {
+		p.heap[i] = p.heap[last]
+		p.res[p.heap[i]].hp = int32(i + 1)
+	}
+	p.heap = p.heap[:last]
+	if i != last {
+		p.heapFix(i)
+	}
+}
+
+// setRank re-ranks the resident in slot r and restores the heap order.
+func (p *Partition) setRank(r *resident, rank uint64) {
+	r.rank = rank
+	p.heapFix(int(r.hp) - 1)
+}
+
+// heapLess orders heap entries i and j by resident rank.
+func (p *Partition) heapLess(i, j int) bool {
+	return p.res[p.heap[i]].rank < p.res[p.heap[j]].rank
+}
+
+// heapSwap exchanges heap entries i and j, keeping their slots' back
+// pointers current.
+func (p *Partition) heapSwap(i, j int) {
+	p.heap[i], p.heap[j] = p.heap[j], p.heap[i]
+	p.res[p.heap[i]].hp = int32(i + 1)
+	p.res[p.heap[j]].hp = int32(j + 1)
+}
+
+func (p *Partition) heapUp(i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !p.heapLess(i, parent) {
+			return
+		}
+		p.heapSwap(i, parent)
+		i = parent
+	}
+}
+
+// heapFix restores the heap order around entry i after its rank changed.
+func (p *Partition) heapFix(i int) {
+	start := i
+	for {
+		c := 2*i + 1
+		if c >= len(p.heap) {
+			break
+		}
+		if r := c + 1; r < len(p.heap) && p.heapLess(r, c) {
+			c = r
+		}
+		if !p.heapLess(c, i) {
+			break
+		}
+		p.heapSwap(i, c)
+		i = c
+	}
+	if i == start {
+		p.heapUp(i)
+	}
 }
 
 // newWheel sizes a per-partition wheel to the band: small bands get the
@@ -156,15 +265,18 @@ func newWheel(capacity int) *timewheel.Wheel {
 // into per-logical-scheduler bands.
 type Partitioner struct {
 	be    backend.Backend
-	parts []*Partition // live partitions, sorted by band.lo
-	free  []span       // free spans, sorted, coalesced
+	seek  backend.RangeSeeker // be's floor-started ranged dequeue, nil if it has none
+	parts []*Partition        // live partitions, sorted by band.lo
+	free  []span              // free spans, sorted, coalesced
 }
 
 // NewPartitioner wraps a shared backend the caller constructed (and must
 // use exclusively through the returned Partitioner).
 func NewPartitioner(be backend.Backend) *Partitioner {
+	seek, _ := be.(backend.RangeSeeker)
 	return &Partitioner{
 		be:   be,
+		seek: seek,
 		free: []span{{0, math.MaxUint32}},
 	}
 }
@@ -256,12 +368,7 @@ func (pt *Partitioner) Alloc(capacity int, wall bool) (*Partition, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Partition{
-		pt:      pt,
-		band:    band,
-		wall:    wall,
-		handles: make(map[uint32]int32),
-	}
+	p := &Partition{pt: pt, band: band, wall: wall}
 	if wall {
 		p.wheel = newWheel(capacity)
 	}
@@ -282,7 +389,7 @@ func (pt *Partitioner) Enqueue(p *Partition, e core.Entry) error {
 	if err := pt.be.Enqueue(e); err != nil {
 		return err
 	}
-	p.track(e.ID, e.SendTime)
+	p.track(e.ID, e.Rank, e.SendTime)
 	return nil
 }
 
@@ -293,7 +400,7 @@ func (pt *Partitioner) Enqueue(p *Partition, e core.Entry) error {
 // corruption, not an operational fault.
 func (pt *Partitioner) Dequeue(p *Partition, t clock.Time) (core.Entry, bool) {
 	p.mustLive("Dequeue")
-	e, ok := pt.be.DequeueRange(t, p.band.lo, p.band.hi)
+	e, ok := pt.dequeueRange(p, t)
 	if !ok {
 		return core.Entry{}, false
 	}
@@ -302,6 +409,15 @@ func (pt *Partitioner) Dequeue(p *Partition, t clock.Time) (core.Entry, bool) {
 	}
 	p.untrack(e.ID)
 	return e, true
+}
+
+// dequeueRange issues the band's ranged dequeue, starting the backend's
+// scan at the band's rank floor when the backend can seek.
+func (pt *Partitioner) dequeueRange(p *Partition, t clock.Time) (core.Entry, bool) {
+	if pt.seek != nil {
+		return pt.seek.DequeueRangeFrom(t, p.band.lo, p.band.hi, p.minRank())
+	}
+	return pt.be.DequeueRange(t, p.band.lo, p.band.hi)
 }
 
 // DequeueID point-extracts a resident element by ID.
@@ -319,16 +435,20 @@ func (pt *Partitioner) DequeueID(p *Partition, id uint32) (core.Entry, bool) {
 }
 
 // UpdateRank rewrites a resident element's rank and send_time in place,
-// keeping the wheel summary exact. It reports whether id was resident.
+// keeping the rank floor and the wheel summary exact. It reports whether
+// id was resident.
 func (pt *Partitioner) UpdateRank(p *Partition, id uint32, rank uint64, sendTime clock.Time) (bool, error) {
 	p.mustLive("UpdateRank")
-	if !p.Contains(id) {
+	r := p.slot(id)
+	if r == nil {
 		return false, nil
 	}
 	ok, err := backend.UpdateRank(pt.be, id, rank, sendTime)
 	if err != nil {
 		// The fallback path (dequeue+enqueue) can fail mid-flight and
-		// drop the element from the backend; resync our view.
+		// drop the element from the backend; resync our view. An element
+		// still queued was restored with its original rank, which the
+		// slot still holds.
 		if !pt.be.Contains(id) {
 			p.untrack(id)
 		}
@@ -338,8 +458,9 @@ func (pt *Partitioner) UpdateRank(p *Partition, id uint32, rank uint64, sendTime
 		panic(fmt.Sprintf("hier: partition [%d,%d] tracks id %d but backend UpdateRank missed", p.band.lo, p.band.hi, id))
 	}
 	if p.wheel != nil {
-		p.wheel.Update(p.handles[id], sendTime)
+		p.wheel.Update(r.wh, sendTime)
 	}
+	p.setRank(r, rank)
 	return true, nil
 }
 
@@ -380,12 +501,12 @@ func (pt *Partitioner) Grow(p *Partition, capacity int) (remap map[uint32]uint32
 	if err != nil {
 		return nil, err
 	}
-	remap = make(map[uint32]uint32, len(p.handles))
+	remap = make(map[uint32]uint32, p.Len())
 	// Extract every resident in dequeue order. clock.Never makes every
 	// send_time eligible, so this drains unconditionally.
-	moved := make([]core.Entry, 0, len(p.handles))
+	moved := make([]core.Entry, 0, p.Len())
 	for {
-		e, ok := pt.be.DequeueRange(clock.Never, p.band.lo, p.band.hi)
+		e, ok := pt.dequeueRange(p, clock.Never)
 		if !ok {
 			break
 		}
@@ -395,8 +516,8 @@ func (pt *Partitioner) Grow(p *Partition, capacity int) (remap map[uint32]uint32
 		p.untrack(e.ID)
 		moved = append(moved, e)
 	}
-	if len(p.handles) != 0 {
-		panic(fmt.Sprintf("hier: partition [%d,%d] retained %d residents after drain", p.band.lo, p.band.hi, len(p.handles)))
+	if p.Len() != 0 {
+		panic(fmt.Sprintf("hier: partition [%d,%d] retained %d residents after drain", p.band.lo, p.band.hi, p.Len()))
 	}
 	oldBand := p.band
 	p.band = newBand
@@ -411,7 +532,7 @@ func (pt *Partitioner) Grow(p *Partition, capacity int) (remap map[uint32]uint32
 		if err := pt.be.Enqueue(e2); err != nil {
 			panic(fmt.Sprintf("hier: relocation re-admit id %d: %v", newID, err))
 		}
-		p.track(newID, e2.SendTime)
+		p.track(newID, e2.Rank, e2.SendTime)
 	}
 	return remap, nil
 }
@@ -427,25 +548,25 @@ func (pt *Partitioner) Split(p *Partition) (*Partition, error) {
 	}
 	half := p.band.size() / 2
 	mid := p.band.lo + uint32(half)
-	q := &Partition{
-		pt:      pt,
-		band:    span{mid, p.band.hi},
-		wall:    p.wall,
-		handles: make(map[uint32]int32),
-	}
+	q := &Partition{pt: pt, band: span{mid, p.band.hi}, wall: p.wall}
 	if p.wall {
 		q.wheel = newWheel(int(p.band.size() - half))
 	}
-	for id, h := range p.handles {
-		if id < mid {
+	for off := half; off < uint64(len(p.res)); off++ {
+		r := p.res[off]
+		if r.hp == 0 {
 			continue
 		}
 		t := clock.Time(0)
 		if p.wheel != nil {
-			t = p.wheel.TimeOf(h)
+			t = p.wheel.TimeOf(r.wh)
 		}
+		id := p.band.lo + uint32(off)
 		p.untrack(id)
-		q.track(id, t)
+		q.track(id, r.rank, t)
+	}
+	if uint64(len(p.res)) > half {
+		p.res = p.res[:half]
 	}
 	p.band.hi = mid - 1
 	if used := uint64(p.used); used > half {
@@ -460,7 +581,8 @@ func (pt *Partitioner) Split(p *Partition) (*Partition, error) {
 // returns the band to the free list. The partition is dead afterwards.
 func (pt *Partitioner) Retire(p *Partition) {
 	p.mustLive("Retire")
-	for id := range p.handles {
+	for n := len(p.heap); n > 0; n = len(p.heap) {
+		id := p.band.lo + p.heap[n-1]
 		if _, ok := pt.be.DequeueFlow(id); !ok {
 			panic(fmt.Sprintf("hier: retire: partition [%d,%d] tracks id %d but backend has no such element", p.band.lo, p.band.hi, id))
 		}
@@ -469,14 +591,16 @@ func (pt *Partitioner) Retire(p *Partition) {
 	pt.removePart(p)
 	pt.release(p.band)
 	p.retired = true
-	p.wheel = nil
+	p.wheel, p.res, p.heap = nil, nil, nil
 }
 
 // CheckInvariants validates the allocator and every partition against
 // the shared backend: bands and free spans must tile [0, 2^32) without
 // overlap, every backend-resident element must be tracked by exactly the
-// partition whose band covers it (no cross-partition leakage), and each
-// wall partition's wheel must index exactly its residents' send_times.
+// partition whose band covers it (no cross-partition leakage) with the
+// backend's rank, each partition's rank heap must be well formed with its
+// root equal to the smallest resident rank, and each wall partition's
+// wheel must index exactly its residents' send_times.
 func (pt *Partitioner) CheckInvariants() error {
 	// Tiling: merge partitions and free spans, sorted; they must be
 	// disjoint and cover the whole space.
@@ -513,34 +637,49 @@ func (pt *Partitioner) CheckInvariants() error {
 	}
 	// Residency: bucket the backend's snapshot by band.
 	perPart := make(map[*Partition]int)
+	minRank := make(map[*Partition]uint64)
 	for _, e := range pt.be.Snapshot() {
 		i := sort.Search(len(pt.parts), func(i int) bool { return pt.parts[i].band.hi >= e.ID })
 		if i == len(pt.parts) || !pt.parts[i].InBand(e.ID) {
 			return fmt.Errorf("hier: backend element id %d outside every partition band", e.ID)
 		}
 		p := pt.parts[i]
-		h, tracked := p.handles[e.ID]
-		if !tracked {
+		r := p.slot(e.ID)
+		if r == nil {
 			return fmt.Errorf("hier: backend element id %d not tracked by its partition [%d,%d]", e.ID, p.band.lo, p.band.hi)
 		}
+		if r.rank != e.Rank {
+			return fmt.Errorf("hier: partition [%d,%d] tracks rank %d for id %d, backend says %d",
+				p.band.lo, p.band.hi, r.rank, e.ID, e.Rank)
+		}
 		if p.wheel != nil {
-			if got := p.wheel.TimeOf(h); got != e.SendTime {
+			if got := p.wheel.TimeOf(r.wh); got != e.SendTime {
 				return fmt.Errorf("hier: partition [%d,%d] wheel has t=%d for id %d, backend says %d",
 					p.band.lo, p.band.hi, got, e.ID, e.SendTime)
 			}
+		}
+		if m, seen := minRank[p]; !seen || e.Rank < m {
+			minRank[p] = e.Rank
 		}
 		perPart[p]++
 	}
 	total := 0
 	for _, p := range pt.parts {
-		if got := perPart[p]; got != len(p.handles) {
+		if got := perPart[p]; got != p.Len() {
 			return fmt.Errorf("hier: partition [%d,%d] tracks %d residents, backend holds %d",
-				p.band.lo, p.band.hi, len(p.handles), got)
+				p.band.lo, p.band.hi, p.Len(), got)
+		}
+		if err := p.checkHeap(); err != nil {
+			return err
+		}
+		if m, seen := minRank[p]; seen && p.minRank() != m {
+			return fmt.Errorf("hier: partition [%d,%d] rank floor %d, smallest resident rank %d",
+				p.band.lo, p.band.hi, p.minRank(), m)
 		}
 		if p.wheel != nil {
-			if p.wheel.Len() != len(p.handles) {
+			if p.wheel.Len() != p.Len() {
 				return fmt.Errorf("hier: partition [%d,%d] wheel indexes %d, tracks %d",
-					p.band.lo, p.band.hi, p.wheel.Len(), len(p.handles))
+					p.band.lo, p.band.hi, p.wheel.Len(), p.Len())
 			}
 			if err := p.wheel.CheckInvariants(); err != nil {
 				return fmt.Errorf("hier: partition [%d,%d]: %w", p.band.lo, p.band.hi, err)
@@ -549,10 +688,36 @@ func (pt *Partitioner) CheckInvariants() error {
 		if uint64(p.used) > p.band.size() {
 			return fmt.Errorf("hier: partition [%d,%d] used %d exceeds band", p.band.lo, p.band.hi, p.used)
 		}
-		total += len(p.handles)
+		total += p.Len()
 	}
 	if got := pt.be.Len(); got != total {
 		return fmt.Errorf("hier: partitions track %d residents, backend holds %d", total, got)
+	}
+	return nil
+}
+
+// checkHeap validates the rank heap: every entry names a resident slot
+// that points back at it, and no entry ranks below its parent.
+func (p *Partition) checkHeap() error {
+	if uint64(len(p.res)) > p.band.size() {
+		return fmt.Errorf("hier: partition [%d,%d] resident table %d wider than band", p.band.lo, p.band.hi, len(p.res))
+	}
+	used := 0
+	for _, r := range p.res {
+		if r.hp != 0 {
+			used++
+		}
+	}
+	if used != len(p.heap) {
+		return fmt.Errorf("hier: partition [%d,%d] has %d occupied slots, %d heap entries", p.band.lo, p.band.hi, used, len(p.heap))
+	}
+	for i, off := range p.heap {
+		if uint64(off) >= uint64(len(p.res)) || p.res[off].hp != int32(i+1) {
+			return fmt.Errorf("hier: partition [%d,%d] heap entry %d (offset %d) has no matching slot", p.band.lo, p.band.hi, i, off)
+		}
+		if i > 0 && p.heapLess(i, (i-1)/2) {
+			return fmt.Errorf("hier: partition [%d,%d] heap entry %d ranks below its parent", p.band.lo, p.band.hi, i)
+		}
 	}
 	return nil
 }

@@ -303,3 +303,78 @@ func TestPartitionReleaseCoalescing(t *testing.T) {
 		t.Fatalf("free list did not re-coalesce: %v", pt.free)
 	}
 }
+
+// TestPartitionRankFloor checks the rank floor against a model through
+// enqueues, rank updates that move residents both up and down, ranged and
+// point dequeues, on a seeking backend and on one that falls back to the
+// plain ranged dequeue. The floor is the smallest resident rank, or
+// math.MaxUint64 for an empty band, after every operation.
+func TestPartitionRankFloor(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		be   backend.Backend
+		seek bool
+	}{
+		{"core", backend.NewCoreList(256), true},
+		{"no-seek", faultinject.Wrap(backend.NewCoreList(256), faultinject.NewInjector(faultinject.Plan{Seed: 1})), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pt := NewPartitioner(tc.be)
+			if got := pt.seek != nil; got != tc.seek {
+				t.Fatalf("partitioner seeks = %v, want %v", got, tc.seek)
+			}
+			parts := []*Partition{mustAlloc(t, pt, 32, true), mustAlloc(t, pt, 32, false)}
+			model := []map[uint32]uint64{{}, {}}
+			rng := fuzzLCG(5)
+			for op := 0; op < 3000; op++ {
+				k := int(rng.next() % 2)
+				p, m := parts[k], model[k]
+				switch rng.next() % 4 {
+				case 0:
+					id := p.Lo() + uint32(rng.next()%32)
+					if m[id] != 0 {
+						continue
+					}
+					rank := 1 + rng.next()%50
+					if err := pt.Enqueue(p, core.Entry{ID: id, Rank: rank, SendTime: clock.Time(rng.next() % 8)}); err != nil {
+						t.Fatalf("op %d: %v", op, err)
+					}
+					m[id] = rank
+				case 1:
+					for id := range m {
+						rank := 1 + rng.next()%50
+						if ok, err := pt.UpdateRank(p, id, rank, clock.Time(rng.next()%8)); !ok || err != nil {
+							t.Fatalf("op %d: UpdateRank(%d) = %v, %v", op, id, ok, err)
+						}
+						m[id] = rank
+						break
+					}
+				case 2:
+					if e, ok := pt.Dequeue(p, clock.Time(rng.next()%10)); ok {
+						delete(m, e.ID)
+					}
+				case 3:
+					for id := range m {
+						if _, ok := pt.DequeueID(p, id); !ok {
+							t.Fatalf("op %d: DequeueID(%d) missed", op, id)
+						}
+						delete(m, id)
+						break
+					}
+				}
+				for i, q := range parts {
+					want := uint64(math.MaxUint64)
+					for _, r := range model[i] {
+						want = min(want, r)
+					}
+					if got := q.minRank(); got != want {
+						t.Fatalf("op %d: partition %d floor %d, model minimum %d", op, i, got, want)
+					}
+				}
+				if err := pt.CheckInvariants(); err != nil {
+					t.Fatalf("op %d: %v", op, err)
+				}
+			}
+		})
+	}
+}

@@ -148,17 +148,17 @@ func TestControllerLadder(t *testing.T) {
 	}{
 		{0, LevelAdmitAll},
 		{699, LevelAdmitAll},
-		{700, LevelTailDrop},  // enter tail-drop
-		{650, LevelTailDrop},  // inside the hysteresis band: hold
-		{599, LevelAdmitAll},  // below exit: release
-		{849, LevelTailDrop},  // re-enter
-		{850, LevelPushOut},   // climb
-		{751, LevelPushOut},   // hold above exit
-		{749, LevelTailDrop},  // descend one level
-		{970, LevelShed},      // multi-step climb in one evaluation
-		{901, LevelShed},      // hold
-		{899, LevelPushOut},   // descend
-		{100, LevelAdmitAll},  // multi-step descent in one evaluation
+		{700, LevelTailDrop}, // enter tail-drop
+		{650, LevelTailDrop}, // inside the hysteresis band: hold
+		{599, LevelAdmitAll}, // below exit: release
+		{849, LevelTailDrop}, // re-enter
+		{850, LevelPushOut},  // climb
+		{751, LevelPushOut},  // hold above exit
+		{749, LevelTailDrop}, // descend one level
+		{970, LevelShed},     // multi-step climb in one evaluation
+		{901, LevelShed},     // hold
+		{899, LevelPushOut},  // descend
+		{100, LevelAdmitAll}, // multi-step descent in one evaluation
 	}
 	for i, s := range steps {
 		if got := c.Evaluate(s.occ); got != s.want {
