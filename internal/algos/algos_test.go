@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"pieo/internal/backend"
 	"pieo/internal/clock"
 	"pieo/internal/flowq"
 	"pieo/internal/netsim"
@@ -42,7 +43,18 @@ func runBacklogged(t *testing.T, prog *sched.Program, nFlows int, pktSize uint32
 		}
 	}
 	sim.Run(duration)
+	assertNoFaults(t, s)
 	return bytes
+}
+
+// assertNoFaults fails the test if a fault-free run charged any fault:
+// with every failure counted rather than panicked, a clean run must say
+// so explicitly.
+func assertNoFaults(t *testing.T, s *sched.Scheduler) {
+	t.Helper()
+	if fs := s.FaultStats(); fs != (backend.FaultStats{}) || s.LastFault() != nil {
+		t.Fatalf("program %q: unexpected faults %+v (last: %v)", s.Prog.Name, fs, s.LastFault())
+	}
 }
 
 func shareRatio(bytes map[flowq.FlowID]uint64, a, b flowq.FlowID) float64 {

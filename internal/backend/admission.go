@@ -126,9 +126,9 @@ func Admit(b Backend, pol AdmissionPolicy, e core.Entry) (AdmitOutcome, error) {
 
 // FaultStats is the resilience counter block scheduler layers expose
 // (sched.Scheduler, hier.Hierarchy) and netsim surfaces through its
-// FaultReporter hook. Every counter is a condition that historically
-// panicked; in non-strict mode it is counted here instead and the most
-// recent error is retained for diagnosis.
+// FaultReporter hook. Each counter is a fault or admission outcome the
+// layer absorbed instead of panicking; the layer also retains the most
+// recent fault error for diagnosis.
 type FaultStats struct {
 	// SpinGuardTrips counts dequeue loops abandoned by the no-progress
 	// guard instead of panicking.

@@ -54,7 +54,6 @@ func Overload() *Table {
 		for _, load := range []float64{0.5, 1, 2, 4, 8} {
 			flows := int(load * capacity)
 			s := sched.NewOn(prog, backend.NewCoreList(capacity), 10)
-			s.Strict = false
 			s.Admission = pol
 			for id := 1; id <= flows; id++ {
 				s.Flow(flowq.FlowID(id)).Priority = uint64(id)
@@ -117,7 +116,7 @@ func Overload() *Table {
 	t.Notes = []string{
 		fmt.Sprintf("premium goodput = delivery fraction for the %d best-priority flows (the set push-out should protect)", capacity),
 		"every run conserves packets exactly: arrived = delivered + declared drops (checked)",
-		"strict mode would panic at the first full list; these runs use the non-strict typed-error contract",
+		"a full list never panics: the refused flow's backlog is shed and counted as declared drops",
 	}
 	return t
 }

@@ -22,8 +22,8 @@ func FuzzChaosPlan(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64, panicEvery, errEvery, squeezeEvery, opsRaw uint16) {
 		ops := int(opsRaw)%2000 + 200
 		// Panics go through the shard hook only: a wrapper-level panic
-		// would unwind the driver, which is the strict contract, not a
-		// fault the engine is supposed to absorb.
+		// would unwind the driver, which is API misuse, not a fault the
+		// engine is supposed to absorb.
 		hookInj := faultinject.NewInjector(faultinject.Plan{Seed: seed, PanicEvery: uint64(panicEvery)})
 		wrapInj := faultinject.NewInjector(faultinject.Plan{
 			Seed: seed ^ 0x9e3779b97f4a7c15, ErrorEvery: uint64(errEvery), SqueezeEvery: uint64(squeezeEvery),

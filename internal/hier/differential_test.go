@@ -60,6 +60,7 @@ func assertNodeParity(t *testing.T, ctx string, oracle, part *Hierarchy) {
 // against the shared backend, and the backend's own structural checker.
 func checkPartitioned(t *testing.T, ctx string, part *Hierarchy) {
 	t.Helper()
+	assertNoFaults(t, ctx, part)
 	if err := part.Partitioner().CheckInvariants(); err != nil {
 		t.Fatalf("%s: partitioner invariants: %v", ctx, err)
 	}
@@ -273,7 +274,6 @@ func TestPartitionedNonStrictFaultAttribution(t *testing.T) {
 	h := NewPartitionedOn(40, RoundRobin(), func(n int) backend.Backend {
 		return faultinject.Wrap(backend.NewCoreList(n), inj)
 	})
-	h.Strict = false
 	diffTwoLevelRR(h, 5, 4)
 
 	rng := rand.New(rand.NewSource(9))
@@ -304,7 +304,6 @@ func TestPartitionedNonStrictFaultAttribution(t *testing.T) {
 	h2 := NewOn(40, RoundRobin(), func(n int) backend.Backend {
 		return faultinject.Wrap(backend.NewCoreList(n), inj2)
 	})
-	h2.Strict = false
 	diffTwoLevelRR(h2, 5, 4)
 	rng2 := rand.New(rand.NewSource(9))
 	now = 0

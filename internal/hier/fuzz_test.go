@@ -53,6 +53,16 @@ func buildRandomTreeOn(rng *rand.Rand, mk func(rootPolicy *Policy) *Hierarchy) (
 	return h, flows
 }
 
+// assertNoFaults fails the test if a fault-free run charged any fault:
+// with every failure counted rather than panicked, a clean run must say
+// so explicitly.
+func assertNoFaults(t *testing.T, ctx string, h *Hierarchy) {
+	t.Helper()
+	if fs := h.FaultStats(); fs != (backend.FaultStats{}) || h.LastFault() != nil {
+		t.Fatalf("%s: unexpected faults %+v (last: %v)", ctx, fs, h.LastFault())
+	}
+}
+
 // buildRandomTree grows a random 2-4 level hierarchy with mixed policies
 // over the default per-level layout.
 func buildRandomTree(rng *rand.Rand) (*Hierarchy, []flowq.FlowID) {
@@ -96,6 +106,7 @@ func TestRandomTopologyConservation(t *testing.T) {
 		if h.Backlog() != 0 {
 			t.Fatalf("seed %d: %d packets stuck", seed, h.Backlog())
 		}
+		assertNoFaults(t, fmt.Sprintf("seed %d", seed), h)
 	}
 }
 
@@ -130,6 +141,7 @@ func TestRandomTopologyInterleavedArrivals(t *testing.T) {
 			t.Fatalf("seed %d: transmitted %d, injected %d, backlog %d",
 				seed, transmitted, injected, h.Backlog())
 		}
+		assertNoFaults(t, fmt.Sprintf("seed %d", seed), h)
 		for d := 0; d < h.Levels(); d++ {
 			if err := backend.CheckInvariants(h.Level(d)); err != nil {
 				t.Fatalf("seed %d: level %d: %v", seed, d, err)

@@ -89,13 +89,13 @@ type Node struct {
 	active     int        // children currently enqueued in this node's logical PIEO
 	cachedSumW uint64     // lazily cached total child weight
 	stats      NodeStats
-	faults     backend.FaultStats // non-strict faults charged to THIS node
+	faults     backend.FaultStats // faults charged to THIS node
 }
 
 // Stats returns the node's logical-PIEO operation counters.
 func (n *Node) Stats() NodeStats { return n.stats }
 
-// FaultStats returns the non-strict faults charged to this node — the
+// FaultStats returns the faults charged to this node — the
 // per-node breakdown of Hierarchy.FaultStats, so a chaos audit can
 // assert where drops landed, not just that they happened.
 func (n *Node) FaultStats() backend.FaultStats { return n.faults }
@@ -141,13 +141,6 @@ func (n *Node) AddFlow(id flowq.FlowID) *Child {
 type Hierarchy struct {
 	LinkRateGbps float64
 
-	// Strict preserves the historical failure contract: a failed
-	// logical-PIEO insert panics. NewOn defaults it to true; non-strict
-	// hierarchies count the fault in FaultStats and leave the child out
-	// of its parent's logical PIEO until its next activation (the
-	// degraded behavior: that subtree loses its turn, nothing crashes).
-	Strict bool
-
 	root    *Node
 	levels  []backend.Backend // levels[d] holds the children of depth-d nodes (per-level mode)
 	wall    []bool            // depth-d predicates live in the wall-clock domain
@@ -162,8 +155,8 @@ type Hierarchy struct {
 	partitioned bool
 	pt          *Partitioner
 
-	faults  backend.FaultStats // non-strict fault counters
-	lastErr error              // most recent non-strict fault
+	faults  backend.FaultStats // fault counters, summed over every node
+	lastErr error              // most recent fault
 }
 
 // New creates an empty hierarchy whose root schedules its children with
@@ -190,7 +183,6 @@ func NewOn(linkRateGbps float64, rootPolicy *Policy, factory func(capacity int) 
 	}
 	h := &Hierarchy{
 		LinkRateGbps: linkRateGbps,
-		Strict:       true,
 		factory:      factory,
 		leaves:       make(map[flowq.FlowID]*Child),
 	}
@@ -219,11 +211,20 @@ func NewPartitionedOn(linkRateGbps float64, rootPolicy *Policy, factory func(cap
 	return h
 }
 
-// FaultStats returns the non-strict fault counters.
+// FaultStats returns the fault counters: the sum of every node's
+// Node.FaultStats.
 func (h *Hierarchy) FaultStats() backend.FaultStats { return h.faults }
 
-// LastFault returns the most recent non-strict fault, nil if none.
+// LastFault returns the most recent fault, nil if none.
 func (h *Hierarchy) LastFault() error { return h.lastErr }
+
+// fault charges d to node n and to the hierarchy total, and keeps err as
+// the most recent fault.
+func (h *Hierarchy) fault(n *Node, d backend.FaultStats, err error) {
+	h.faults.Add(d)
+	n.faults.Add(d)
+	h.lastErr = err
+}
 
 // Root returns the root node.
 func (h *Hierarchy) Root() *Node { return h.root }
@@ -350,6 +351,47 @@ func (h *Hierarchy) insertEntry(n *Node, c *Child) error {
 	return err
 }
 
+// insertOrShed inserts child c into n's logical PIEO and counts it in
+// n.active. A child that cannot enter would never be scheduled again — a
+// backlogged leaf is not re-activated by arrivals, nor an interior node
+// whose children are all queued — so on failure c's whole backlog is
+// shed as declared drops charged to n, and insertOrShed reports false.
+func (h *Hierarchy) insertOrShed(n *Node, c *Child) bool {
+	err := h.insertEntry(n, c)
+	if err == nil {
+		n.active++
+		return true
+	}
+	h.fault(n, backend.FaultStats{EnqueueFailures: 1, DroppedPackets: h.shed(c)},
+		fmt.Errorf("hier: enqueue child %d at depth %d: %w", c.ID, n.depth, err))
+	return false
+}
+
+// shed empties c's subtree and returns the packets it dropped: a leaf's
+// queue, or for an interior child every descendant's logical-PIEO entry
+// and leaf queue.
+func (h *Hierarchy) shed(c *Child) uint64 {
+	if c.IsLeaf() {
+		dropped := uint64(c.Queue.Len())
+		for !c.Queue.Empty() {
+			c.Queue.Pop()
+		}
+		return dropped
+	}
+	n := c.Node
+	var dropped uint64
+	for _, gc := range n.children {
+		if h.partitioned {
+			h.pt.DequeueID(n.part, gc.ID)
+		} else {
+			h.levels[n.depth].DequeueFlow(gc.ID)
+		}
+		dropped += h.shed(gc)
+	}
+	n.active = 0
+	return dropped
+}
+
 // extractEntry extracts the smallest-ranked eligible child of n's
 // logical PIEO at predicate time t.
 func (h *Hierarchy) extractEntry(n *Node, t clock.Time) (core.Entry, bool) {
@@ -441,14 +483,17 @@ func (h *Hierarchy) BackendStats() backend.Stats {
 	return total
 }
 
-// OnArrival implements netsim.Scheduler.
+// OnArrival implements netsim.Scheduler. A packet for a flow the
+// topology does not hold is dropped and charged to the root.
 func (h *Hierarchy) OnArrival(now clock.Time, p flowq.Packet) {
 	if !h.built {
 		panic("hier: OnArrival before Build")
 	}
 	c := h.leaves[p.Flow]
 	if c == nil {
-		panic(fmt.Sprintf("hier: packet for unknown flow %d", p.Flow))
+		h.fault(h.root, backend.FaultStats{UnknownFlows: 1, DroppedPackets: 1},
+			fmt.Errorf("%w: packet for flow %d", core.ErrUnknownFlow, p.Flow))
+		return
 	}
 	wasEmpty := c.Queue.Empty()
 	c.Queue.Push(p)
@@ -472,19 +517,7 @@ func (h *Hierarchy) enqueueChild(now clock.Time, n *Node, c *Child) {
 		return
 	}
 	n.Policy.preEnqueue(n, now, c)
-	if err := h.insertEntry(n, c); err != nil {
-		if h.Strict {
-			panic(fmt.Sprintf("hier: enqueue child %d at depth %d: %v", c.ID, n.depth, err))
-		}
-		// Degraded: the child stays out of its parent's logical PIEO and
-		// loses its turn until the next activation re-attempts the insert.
-		h.faults.EnqueueFailures++
-		n.faults.EnqueueFailures++
-		h.lastErr = fmt.Errorf("hier: enqueue child %d at depth %d: %w", c.ID, n.depth, err)
-		return
-	}
-	n.active++
-	if n.parent != nil {
+	if h.insertOrShed(n, c) && n.parent != nil {
 		h.enqueueChild(now, n.parent, n.self)
 	}
 }
@@ -552,21 +585,16 @@ func (h *Hierarchy) descend(n *Node, now clock.Time, path *[]pathStep) bool {
 	defer func() {
 		// Put deferred children back; their policies' PreEnqueue hooks
 		// are idempotent by contract. These are continuations, not
-		// activations.
+		// activations. A child whose subtree was shed during its own
+		// descent has nothing left to schedule.
 		for _, c := range skipped {
+			if c.Node.active == 0 {
+				continue
+			}
 			c.requeued = true
 			n.Policy.preEnqueue(n, now, c)
 			c.requeued = false
-			if err := h.insertEntry(n, c); err != nil {
-				if h.Strict {
-					panic(fmt.Sprintf("hier: re-enqueue deferred child %d: %v", c.ID, err))
-				}
-				h.faults.EnqueueFailures++
-				n.faults.EnqueueFailures++
-				h.lastErr = fmt.Errorf("hier: re-enqueue deferred child %d: %w", c.ID, err)
-				continue
-			}
-			n.active++
+			h.insertOrShed(n, c)
 		}
 	}()
 	retriedIdle := false
@@ -582,22 +610,19 @@ func (h *Hierarchy) descend(n *Node, now clock.Time, path *[]pathStep) bool {
 			}
 			return false
 		}
-		n.active--
 		var c *Child
 		if off := e.ID - n.lo; off < uint32(len(n.children)) {
 			c = n.children[off]
 		}
 		if c == nil {
-			if h.Strict {
-				panic(fmt.Sprintf("hier: depth %d returned unknown child %d", n.depth, e.ID))
-			}
-			// A core.ErrUnknownFlow condition: discard the phantom element
-			// and keep descending.
-			h.faults.UnknownFlows++
-			n.faults.UnknownFlows++
-			h.lastErr = fmt.Errorf("%w: depth %d returned id %d", core.ErrUnknownFlow, n.depth, e.ID)
+			// A core.ErrUnknownFlow condition: discard the phantom element,
+			// which was never one of n's active children, and keep
+			// descending.
+			h.fault(n, backend.FaultStats{UnknownFlows: 1},
+				fmt.Errorf("%w: depth %d returned id %d", core.ErrUnknownFlow, n.depth, e.ID))
 			continue
 		}
+		n.active--
 		if c.IsLeaf() {
 			*path = append(*path, pathStep{n, c})
 			return true

@@ -1,6 +1,7 @@
 package hier
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -418,6 +419,34 @@ func TestLeafAccessors(t *testing.T) {
 	h.Leaf(99)
 }
 
+// TestOnArrivalUnknownFlow: a packet for a flow the topology does not
+// hold comes from outside the program (a classifier result), so it is a
+// declared drop charged to the root, not a panic, and traffic for real
+// flows keeps flowing.
+func TestOnArrivalUnknownFlow(t *testing.T) {
+	for _, h := range []*Hierarchy{New(linkGbps, RoundRobin()), NewPartitioned(linkGbps, RoundRobin())} {
+		diffTwoLevelRR(h, 2, 2)
+		h.OnArrival(0, flowq.Packet{Flow: 99, Size: 100})
+		want := backend.FaultStats{UnknownFlows: 1, DroppedPackets: 1}
+		if got := h.FaultStats(); got != want {
+			t.Fatalf("partitioned=%v: FaultStats = %+v, want %+v", h.Partitioned(), got, want)
+		}
+		if got := h.Root().FaultStats(); got != want {
+			t.Fatalf("partitioned=%v: root FaultStats = %+v, want %+v", h.Partitioned(), got, want)
+		}
+		if !errors.Is(h.LastFault(), core.ErrUnknownFlow) {
+			t.Fatalf("partitioned=%v: LastFault = %v, want ErrUnknownFlow", h.Partitioned(), h.LastFault())
+		}
+		if h.Backlog() != 0 {
+			t.Fatalf("partitioned=%v: backlog %d after a dropped packet", h.Partitioned(), h.Backlog())
+		}
+		h.OnArrival(0, flowq.Packet{Flow: 3, Size: 100})
+		if p, ok := h.NextPacket(0); !ok || p.Flow != 3 {
+			t.Fatalf("partitioned=%v: NextPacket = flow %d ok=%v, want 3", h.Partitioned(), p.Flow, ok)
+		}
+	}
+}
+
 func TestLevelListInvariants(t *testing.T) {
 	h, _ := twoLevel(RoundRobin(), WF2Q(), 3, 3)
 	for f := flowq.FlowID(0); f < 9; f++ {
@@ -451,7 +480,6 @@ func TestDescendRejectsForeignChild(t *testing.T) {
 	h := NewOn(linkGbps, RoundRobin(), func(n int) backend.Backend {
 		return bandBlindList{backend.NewCoreList(n)}
 	})
-	h.Strict = false
 	vm0, vm1 := h.Root().AddNode("vm0", RoundRobin()), h.Root().AddNode("vm1", RoundRobin())
 	vm0.AddFlow(0)
 	foreign := vm1.AddFlow(1)
@@ -470,5 +498,10 @@ func TestDescendRejectsForeignChild(t *testing.T) {
 	}
 	if got := h.FaultStats().UnknownFlows; got != 1 {
 		t.Fatalf("hierarchy UnknownFlows = %d, want 1", got)
+	}
+	// The foreign element never counted toward vm0's active children, so
+	// vm0 is idle again and must not be put back into the root's PIEO.
+	if n := h.Level(0).Len(); n != 0 {
+		t.Fatalf("root list holds %d entries after its only backlog was sent", n)
 	}
 }

@@ -29,7 +29,6 @@ func rankedProg() *Program {
 func TestOverloadLadderOnScheduler(t *testing.T) {
 	const cap = 10
 	s := New(rankedProg(), cap, 40)
-	s.Strict = false
 	s.Overload = supervise.NewController(cap, supervise.Watermarks{})
 
 	// Fill to capacity: the controller climbs as occupancy crosses the
@@ -83,7 +82,6 @@ func TestOverloadLadderOnScheduler(t *testing.T) {
 func TestOverloadPushOutEvictsWorst(t *testing.T) {
 	const cap = 8
 	s := New(rankedProg(), cap, 40)
-	s.Strict = false
 	// The controller is scaled to a larger aggregate (a shared link whose
 	// budget spans more than this one list), so a full list sits in the
 	// push-out band rather than the shed band: full + push-out is the
@@ -134,7 +132,6 @@ func TestDequeueDeadline(t *testing.T) {
 		},
 	}
 	s := New(prog, 16, 40)
-	s.Strict = false
 	s.Clock = clk
 	s.DequeueBudget = 100
 	s.OnArrival(0, flowq.Packet{Flow: 1, Size: 100})
@@ -167,7 +164,6 @@ func TestDequeueDeadline(t *testing.T) {
 func TestOverloadNoFlappingUnderConstantLoad(t *testing.T) {
 	const cap = 100
 	s := New(rankedProg(), cap, 40)
-	s.Strict = false
 	s.Overload = supervise.NewController(cap, supervise.Watermarks{})
 	// Pin occupancy exactly on the tail-drop enter mark (70).
 	for id := flowq.FlowID(1); id <= 70; id++ {

@@ -158,20 +158,12 @@ type Scheduler struct {
 
 	// Admission selects what happens when the ordered list is full and a
 	// flow must enter it (see backend.AdmissionPolicy): reject, tail-drop,
-	// or rank-aware push-out. It applies only in non-strict mode — strict
-	// mode preserves the historical panic-on-full contract.
+	// or rank-aware push-out. Whichever party is refused has its backlog
+	// shed as declared drops (FaultStats.DroppedPackets).
 	Admission backend.AdmissionPolicy
 
-	// Strict preserves the historical failure contract: any ordered-list
-	// fault (full list, failed batch insert, unknown flow from a dequeue,
-	// spin-guard trip) panics. New/NewOn default it to true so existing
-	// deployments and tests keep exact behavior; overload and chaos
-	// configurations clear it, and every such condition is then counted
-	// in FaultStats, shed as declared drops, and never panics.
-	Strict bool
-
 	// Overload, when set, is the graduated overload controller
-	// (supervise.Controller): each non-strict flow admission evaluates
+	// (supervise.Controller): each flow admission evaluates
 	// the list occupancy against its watermark ladder and runs under the
 	// level's admission policy — admit-all → tail-drop → rank-aware
 	// push-out → shed — instead of the static Admission field. At the
@@ -191,8 +183,8 @@ type Scheduler struct {
 	pending []flowq.Packet // burst left over from a multi-packet PostDequeue
 	drops   uint64         // packets tail-dropped at full flow queues
 
-	faults  backend.FaultStats // non-strict fault and admission counters
-	lastErr error              // most recent non-strict fault, for diagnosis
+	faults  backend.FaultStats // fault and admission counters
+	lastErr error              // most recent fault, for diagnosis
 
 	arrivalBatch []core.Entry // OnArrivalBatch scratch, reused across calls
 }
@@ -233,18 +225,17 @@ func NewOn(prog *Program, b backend.Backend, linkRateGbps float64) *Scheduler {
 		Prog:         prog,
 		List:         b,
 		LinkRateGbps: linkRateGbps,
-		Strict:       true,
 		flows:        make(map[flowq.FlowID]*Flow),
 	}
 }
 
-// FaultStats returns the non-strict fault and admission counters.
+// FaultStats returns the fault and admission counters.
 func (s *Scheduler) FaultStats() backend.FaultStats { return s.faults }
 
-// LastFault returns the most recent non-strict fault, nil if none.
+// LastFault returns the most recent fault, nil if none.
 func (s *Scheduler) LastFault() error { return s.lastErr }
 
-// fault records a non-strict fault for diagnosis.
+// fault records a fault for diagnosis.
 func (s *Scheduler) fault(err error) { s.lastErr = err }
 
 // flushFlow sheds f's entire queued backlog as declared drops — the
@@ -376,9 +367,6 @@ func (s *Scheduler) OnArrivalBatch(now clock.Time, ps []flowq.Packet) {
 		return
 	}
 	if _, err := backend.EnqueueBatch(s.List, batch); err != nil {
-		if s.Strict {
-			panic(fmt.Sprintf("sched: batch enqueue: %v", err))
-		}
 		// At least one insert failed. Re-check each batched flow: one
 		// whose entry did not land would stall outside the list, so its
 		// backlog is shed as declared drops (full lists go through the
@@ -425,7 +413,8 @@ func (s *Scheduler) NextPacket(now clock.Time) (flowq.Packet, bool) {
 	// flow (DRR whose deficit does not yet cover the head packet); keep
 	// extracting until a packet emerges. Progress is guaranteed by the
 	// program (DRR's deficit grows each visit), but a hard cap turns a
-	// misbehaving program into a diagnosable panic instead of a hang.
+	// misbehaving program into a counted fault and an idle link instead
+	// of a hang.
 	// When a clock and budget are configured, the whole extract-retry
 	// episode runs under a deadline: expiry surfaces as core.ErrDeadline
 	// and an idle link instead of spinning the guard counter out.
@@ -442,11 +431,6 @@ func (s *Scheduler) NextPacket(now clock.Time) (flowq.Packet, bool) {
 			return flowq.Packet{}, false
 		}
 		if spins > 1<<22 {
-			if s.Strict {
-				panic(fmt.Sprintf("sched: program %q made no progress after %d dequeues", s.Prog.Name, spins))
-			}
-			// Non-strict: a misbehaving program surfaces as a counted
-			// fault and an idle link instead of a crash.
 			s.faults.SpinGuardTrips++
 			s.fault(fmt.Errorf("sched: program %q made no progress after %d dequeues", s.Prog.Name, spins))
 			return flowq.Packet{}, false
@@ -464,9 +448,6 @@ func (s *Scheduler) NextPacket(now clock.Time) (flowq.Packet, bool) {
 		}
 		f := s.flows[flowq.FlowID(e.ID)]
 		if f == nil {
-			if s.Strict {
-				panic(fmt.Sprintf("sched: list returned unknown flow %d", e.ID))
-			}
 			// The extracted element references no flow state (a
 			// core.ErrUnknownFlow condition): discard it and keep
 			// scheduling — the list is already consistent again.
@@ -494,9 +475,6 @@ func (s *Scheduler) NextPacket(now clock.Time) (flowq.Packet, bool) {
 func (s *Scheduler) DefaultPostDequeue(now clock.Time, f *Flow) []flowq.Packet {
 	p, ok := f.Queue.Pop()
 	if !ok {
-		if s.Strict {
-			panic(fmt.Sprintf("sched: flow %d scheduled with empty queue", f.ID))
-		}
 		// A fault path (admission flush, chaotic backend) emptied the
 		// queue while the flow's entry was still in flight: a phantom
 		// extraction, counted like an unknown flow.
@@ -511,12 +489,6 @@ func (s *Scheduler) DefaultPostDequeue(now clock.Time, f *Flow) []flowq.Packet {
 	return []flowq.Packet{p}
 }
 
-// EnqueueFlow (re-)inserts f into the ordered list: under the
-// output-triggered model it runs the pre-enqueue function to assign rank
-// and send time; under the input-triggered model the flow adopts its head
-// packet's precomputed attributes. Blocked flows (§4.4) and flows already
-// in the list are left alone.
-//
 // outranksWorst reports whether ent strictly outranks the worst resident
 // of the ordered list — the shed level's premium carve-out. A read-only
 // PeekMax costs far less than the insert the door-drop avoids, and a
@@ -531,22 +503,21 @@ func (s *Scheduler) outranksWorst(ent core.Entry) bool {
 	return ok && ent.Rank < worst.Rank
 }
 
-// In strict mode an insert failure panics (the historical contract). In
-// non-strict mode a full list is resolved by the Admission policy — the
-// rejected party's backlog (the arriving flow's, or under push-out the
-// evicted victim's) is shed as declared drops — and any other failure is
-// counted in FaultStats with the arriving flow's backlog shed, so a flow
-// never silently stalls outside the list.
+// EnqueueFlow (re-)inserts f into the ordered list: under the
+// output-triggered model it runs the pre-enqueue function to assign rank
+// and send time; under the input-triggered model the flow adopts its head
+// packet's precomputed attributes. Blocked flows (§4.4) and flows already
+// in the list are left alone.
+//
+// A full list is resolved by the Admission policy — the rejected party's
+// backlog (the arriving flow's, or under push-out the evicted victim's)
+// is shed as declared drops — and any other insert failure is counted in
+// FaultStats with the arriving flow's backlog shed, so a flow never
+// silently stalls outside the list.
 func (s *Scheduler) EnqueueFlow(now clock.Time, f *Flow) {
 	newly := f.NewlyBacklogged // prepareEntry clears it; the shed gate needs it
 	ent, ok := s.prepareEntry(now, f)
 	if !ok {
-		return
-	}
-	if s.Strict {
-		if err := s.List.Enqueue(ent); err != nil {
-			panic(fmt.Sprintf("sched: enqueue flow %d: %v", f.ID, err))
-		}
 		return
 	}
 	pol := s.Admission

@@ -76,8 +76,8 @@ const (
 )
 
 // Typed errors. Every backend and layer reports failure through these
-// (DESIGN.md §8) instead of panicking; strict-mode scheduler layers
-// re-panic on them for the historical contract.
+// (DESIGN.md §8) instead of panicking; the scheduler layers count them
+// in FaultStats and keep the most recent one in LastFault.
 var (
 	ErrFull      = core.ErrFull
 	ErrDuplicate = core.ErrDuplicate
@@ -130,9 +130,8 @@ type (
 	// across independently-locked lists, dequeue as a tournament over
 	// per-shard summaries.
 	ShardedList = shard.Engine
-	// AdmissionPolicy selects what a full list does with an arrival in
-	// non-strict mode: reject, tail-drop, or rank-aware push-out
-	// (DESIGN.md §8).
+	// AdmissionPolicy selects what a full list does with an arrival:
+	// reject, tail-drop, or rank-aware push-out (DESIGN.md §8).
 	AdmissionPolicy = backend.AdmissionPolicy
 	// AdmitOutcome reports what an admission decision did with the
 	// arrival (admitted, dropped, or admitted-by-eviction).
@@ -140,8 +139,8 @@ type (
 	// Evictor is the push-out capability: backends that can identify and
 	// shed their largest-ranked resident element.
 	Evictor = backend.Evictor
-	// FaultStats counts the non-strict faults and admission decisions a
-	// scheduler layer absorbed instead of panicking.
+	// FaultStats counts the faults and admission decisions a scheduler
+	// layer absorbed instead of panicking.
 	FaultStats = backend.FaultStats
 	// ShardFaultStats counts quarantine/rebuild/loss activity inside the
 	// sharded engine.
